@@ -12,7 +12,7 @@ use crate::regret::RegretAttribution;
 use crate::selection::SelectionObjective;
 
 /// Full configuration of an [`crate::EconomyManager`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EconConfig {
     /// Tie-break objective among affordable existing plans (cases B/C).
     pub objective: SelectionObjective,

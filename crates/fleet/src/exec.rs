@@ -629,6 +629,7 @@ impl FleetSim {
                     winner: population.live()[chosen].id(),
                     winning_quote: router.last_winning_quote(),
                     routable,
+                    quoted: router.last_quoted(),
                     plan_cache: delta,
                 }));
                 Some(totals)
@@ -705,6 +706,11 @@ impl FleetSim {
             // the skeleton-cache counters): how many quote workers this
             // cell's router actually pinned to a core.
             registry.counter_add("pool.pinned_workers", router.pinned_workers());
+            // Bids the cell's quote rounds skipped because a lower-id
+            // cold node with the same scheme, config and arrival rate
+            // already priced the query (a function of the simulation
+            // state alone, hence shard- and pool-invariant).
+            registry.counter_add("quote.shared_bids", router.shared_bids());
         }
 
         let finish = population.finish(rates, horizon);

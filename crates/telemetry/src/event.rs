@@ -39,8 +39,8 @@ impl PlanCacheDelta {
     }
 }
 
-/// One quote round: the fleet router asked every routable node to price a
-/// query (the paper's eq. 3 bid) and picked a winner.
+/// One quote round: the fleet router priced a query across the routable
+/// nodes (the paper's eq. 3 bid) and picked a winner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuoteRoundEvent {
     /// Fleet cell the round ran in.
@@ -58,8 +58,13 @@ pub struct QuoteRoundEvent {
     /// The winning bid, when the routing strategy quotes (strategies
     /// like round-robin route without pricing).
     pub winning_quote: Option<Money>,
-    /// How many nodes were routable (quoted) this round.
+    /// How many nodes were routable this round.
     pub routable: usize,
+    /// How many bids the round's final quote pass actually computed: the
+    /// other routable nodes were cold duplicates that reused a
+    /// representative's bid. 0 for strategies that do not price.
+    #[serde(default)]
+    pub quoted: usize,
     /// Plan-cache activity during the round (skeleton reuse across the
     /// fan-out shows up as completions).
     pub plan_cache: PlanCacheDelta,
@@ -372,6 +377,7 @@ mod tests {
             winner: 0,
             winning_quote: Some(Money::from_dollars(0.25)),
             routable: 4,
+            quoted: 2,
             plan_cache: PlanCacheDelta::default(),
         });
         assert_eq!(q.cell(), 3);

@@ -16,32 +16,52 @@
 
 use cloudcache::fleet::{run_fleet, FleetConfig, RouterKind};
 
+const USAGE: &str = "fleet_market [tenants] [queries_per_tenant]";
+
+/// Prints `error: <message>` and the usage line, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("usage: {USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses positional argument `position`, or exits with a usage error.
+fn arg<T: std::str::FromStr>(position: usize, what: &str, default: T) -> T {
+    match std::env::args().nth(position) {
+        None => default,
+        Some(raw) => raw
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("cannot parse {what} `{raw}`"))),
+    }
+}
+
+/// The marketplace config under `router`.
+fn market(router: RouterKind, tenants: u32, queries_per_tenant: u64) -> FleetConfig {
+    let mut config = FleetConfig::mixed(tenants, 4, queries_per_tenant);
+    // SF 10 keeps column-transfer times well inside the run horizon,
+    // so investments come online and the market outcomes diverge.
+    config.scale_factor = 10.0;
+    config.cells = 8;
+    config.shards = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    config.router = router;
+    config
+}
+
 fn main() {
-    let tenants: u32 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("tenants must be a number"))
-        .unwrap_or(24);
-    let queries_per_tenant: u64 = std::env::args()
-        .nth(2)
-        .map(|s| s.parse().expect("queries per tenant must be a number"))
-        .unwrap_or(800);
+    let tenants: u32 = arg(1, "tenants", 24);
+    let queries_per_tenant: u64 = arg(2, "queries per tenant", 800);
+    if let Err(msg) = market(RouterKind::CheapestQuote, tenants, queries_per_tenant).validate() {
+        usage_error(&msg);
+    }
 
     println!(
         "fleet market: {tenants} mixed tenants x {queries_per_tenant} queries, 4 econ-cheap nodes, SF 10\n"
     );
 
     for router in RouterKind::all() {
-        let mut config = FleetConfig::mixed(tenants, 4, queries_per_tenant);
-        // SF 10 keeps column-transfer times well inside the run horizon,
-        // so investments come online and the market outcomes diverge.
-        config.scale_factor = 10.0;
-        config.cells = 8;
-        config.shards = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        config.router = router;
-
-        let result = run_fleet(config);
+        let result = run_fleet(market(router, tenants, queries_per_tenant));
         println!("{}", result.table_row());
         let total = result.queries.max(1);
         for node in &result.nodes {

@@ -8,12 +8,86 @@
 //! 3. cheapest-quote aggregates are invariant under the quote fan-out
 //!    worker-pool size: gathering per-node bids from 1, 2, 4 or 8
 //!    threads picks bit-identical winners (the deterministic merge of
-//!    `fleet::router::CheapestQuote`).
+//!    `fleet::router::CheapestQuote`);
+//! 4. a cheapest-quote round that prices each distinct cold node state
+//!    once picks the winner and bid of an exhaustive scan that quotes
+//!    every routable node.
 
+use std::sync::{Arc, OnceLock};
+
+use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
+use cloudcache::catalog::Schema;
+use cloudcache::econ::{BudgetShape, EconConfig, InvestmentRule};
 use cloudcache::fleet::{
     run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, QuoteOptions, Router,
     RouterKind,
 };
+use cloudcache::planner::{
+    generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
+};
+use cloudcache::pricing::{Money, PriceCatalog};
+use cloudcache::simcore::{NetworkModel, SimDuration, SimTime};
+use cloudcache::simulator::Scheme;
+use cloudcache::workload::{paper_templates, Query, WorkloadConfig, WorkloadGenerator};
+use proptest::prelude::*;
+
+/// The SF 10 schema, candidate set and estimator the router-level tests
+/// plan against, built once per test binary.
+struct Harness {
+    schema: Arc<Schema>,
+    candidates: Vec<cloudcache::cache::IndexDef>,
+    cand_index: CandidateIndex,
+    estimator: Estimator,
+}
+
+impl Harness {
+    fn ctx(&self) -> PlannerContext<'_> {
+        PlannerContext {
+            schema: &self.schema,
+            candidates: &self.candidates,
+            cand_index: &self.cand_index,
+            estimator: &self.estimator,
+        }
+    }
+
+    fn queries(&self, seed: u64) -> WorkloadGenerator {
+        WorkloadGenerator::new(Arc::clone(&self.schema), WorkloadConfig::default(), seed)
+    }
+}
+
+fn harness() -> &'static Harness {
+    static HARNESS: OnceLock<Harness> = OnceLock::new();
+    HARNESS.get_or_init(|| {
+        let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
+        let templates = paper_templates(&schema);
+        let candidates = generate_candidates(&schema, &templates, 65);
+        let cand_index = CandidateIndex::build(&schema, &candidates);
+        let estimator = Estimator::new(
+            CostParams::default(),
+            PriceCatalog::ec2_2009(),
+            NetworkModel::paper_sdss(),
+        );
+        Harness {
+            schema,
+            candidates,
+            cand_index,
+            estimator,
+        }
+    })
+}
+
+/// An economy whose investment rule fires within a handful of queries,
+/// so short histories leave warm (non-empty) caches behind.
+fn biting_econ() -> EconConfig {
+    EconConfig {
+        initial_credit: Money::from_dollars(0.02),
+        investment: InvestmentRule {
+            min_regret: Money::from_dollars(1e-5),
+            ..InvestmentRule::default()
+        },
+        ..EconConfig::default()
+    }
+}
 
 fn config(router: RouterKind, shards: usize, seed: u64) -> FleetConfig {
     let mut config = FleetConfig::mixed(12, 3, 80);
@@ -171,42 +245,12 @@ fn oversubscribed_shards_are_harmless() {
 /// not perturb.
 #[test]
 fn persistent_pool_winner_matches_sequential_across_rounds() {
-    use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
-    use cloudcache::planner::{
-        generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
-    };
-    use cloudcache::pricing::PriceCatalog;
-    use cloudcache::simcore::{NetworkModel, SimTime};
-    use cloudcache::simulator::Scheme;
-    use cloudcache::workload::{paper_templates, WorkloadConfig, WorkloadGenerator};
-    use std::sync::Arc;
-
-    let schema = Arc::new(tpch_schema(ScaleFactor(10.0)));
-    let templates = paper_templates(&schema);
-    let candidates = generate_candidates(&schema, &templates, 65);
-    let cand_index = CandidateIndex::build(&schema, &candidates);
-    let estimator = Estimator::new(
-        CostParams::default(),
-        PriceCatalog::ec2_2009(),
-        NetworkModel::paper_sdss(),
-    );
-    let ctx = PlannerContext {
-        schema: &schema,
-        candidates: &candidates,
-        cand_index: &cand_index,
-        estimator: &estimator,
-    };
-    let econ = cloudcache::econ::EconConfig {
-        initial_credit: cloudcache::pricing::Money::from_dollars(0.02),
-        investment: cloudcache::econ::InvestmentRule {
-            min_regret: cloudcache::pricing::Money::from_dollars(1e-5),
-            ..cloudcache::econ::InvestmentRule::default()
-        },
-        ..cloudcache::econ::EconConfig::default()
-    };
+    let h = harness();
+    let ctx = h.ctx();
+    let econ = biting_econ();
     let build_fleet = || -> Vec<CacheNode> {
         (0..8)
-            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &schema, &econ))
+            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &h.schema, &econ))
             .collect()
     };
 
@@ -237,7 +281,7 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
         .collect();
     let mut fleets: Vec<Vec<CacheNode>> = configs.iter().map(|_| build_fleet()).collect();
 
-    let mut gen = WorkloadGenerator::new(Arc::clone(&schema), WorkloadConfig::default(), 77);
+    let mut gen = h.queries(77);
     for round in 0..60 {
         let query = gen.next_query();
         let now = SimTime::from_secs((round + 1) as f64);
@@ -259,5 +303,230 @@ fn persistent_pool_winner_matches_sequential_across_rounds() {
         for (nodes, &winner) in fleets.iter_mut().zip(&winners) {
             let _ = nodes[winner].serve(&ctx, &query, now);
         }
+    }
+}
+
+/// The exhaustive reference: every routable node quotes through
+/// [`CacheNode::quote`] (fresh planning, no shared skeleton) and the
+/// lowest id wins ties. `None` when no node is routable.
+fn exhaustive_scan(
+    nodes: &[CacheNode],
+    ctx: &PlannerContext<'_>,
+    query: &Query,
+    now: SimTime,
+) -> Option<(usize, Money)> {
+    let mut best: Option<(usize, Money)> = None;
+    for (i, node) in nodes.iter().enumerate() {
+        if !node.routable(now) {
+            continue;
+        }
+        let bid = node.quote(ctx, query, now);
+        if best.is_none_or(|(_, b)| bid < b) {
+            best = Some((i, bid));
+        }
+    }
+    best
+}
+
+/// One node of a random fleet history, decoded from its sampled codes.
+#[derive(Debug, Clone, Copy)]
+struct NodePlan {
+    scheme: u8,
+    econ: u8,
+    warm: u8,
+    status: u8,
+}
+
+impl NodePlan {
+    fn scheme(self) -> Scheme {
+        match self.scheme {
+            0..=2 => Scheme::EconCheap,
+            3 => Scheme::EconFast,
+            _ => Scheme::Bypass {
+                cache_fraction: 0.3,
+            },
+        }
+    }
+
+    /// Step budgets make every bid the user's full budget whenever the
+    /// backend plan is affordable; the convex budget decays with the
+    /// chosen plan's time, so the budget shape moves even a cold node's
+    /// bid.
+    fn econ(self) -> EconConfig {
+        match self.econ {
+            0 => biting_econ(),
+            _ => EconConfig {
+                budget_shape: BudgetShape::Convex,
+                ..biting_econ()
+            },
+        }
+    }
+
+    /// Warm-up history: how many of the pool's leading queries the node
+    /// serves before routing starts, and the gap between them (seconds).
+    /// Equal codes give equal histories, hence equal arrival rates.
+    fn warmup(self) -> (usize, f64) {
+        match self.warm {
+            0 | 1 => (0, 0.0),
+            2 => (1, 0.0),
+            3 => (3, 1.0),
+            4 => (3, 2.0),
+            _ => (WARM_QUERIES, 1.0),
+        }
+    }
+}
+
+/// The longest warm-up history.
+const WARM_QUERIES: usize = 12;
+
+/// When routing starts: after every warm-up history has ended.
+const ROUTING_STARTS: f64 = 100.0;
+
+/// Query pool positions the routing rounds draw from.
+const ROUTED_FROM: usize = WARM_QUERIES;
+
+/// Builds one replica of a random fleet history: warm-up serves, then
+/// draining, booting (routable 2 s after routing starts) and
+/// route-suppressed nodes. Every call with the same inputs builds an
+/// identical fleet.
+fn replica(plans: &[NodePlan], pool: &[Query], ctx: &PlannerContext<'_>) -> Vec<CacheNode> {
+    let h = harness();
+    let start = SimTime::from_secs(ROUTING_STARTS);
+    plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            let spec = NodeSpec::new(plan.scheme());
+            let econ = plan.econ();
+            if plan.status == 4 {
+                return CacheNode::new_booting(
+                    i,
+                    &spec,
+                    &h.schema,
+                    &econ,
+                    start,
+                    SimTime::from_secs(ROUTING_STARTS + 2.0),
+                    Money::from_dollars(0.001),
+                );
+            }
+            let mut node = CacheNode::new(i, &spec, &h.schema, &econ);
+            let (served, gap) = plan.warmup();
+            for (j, query) in pool[..served].iter().enumerate() {
+                let _ = node.serve(ctx, query, SimTime::from_secs(1.0 + j as f64 * gap));
+            }
+            match plan.status {
+                3 => node.begin_drain(start),
+                5 => node.suppress_route(),
+                _ => {}
+            }
+            node
+        })
+        .collect()
+}
+
+/// Routes one round per entry of `gaps` through every cheapest-quote
+/// configuration — sequential and pooled, batched and per-node — each
+/// on its own replica of the history in `plans`, and asserts each
+/// round's winner and bid equal the exhaustive scan's on a further
+/// replica. The winner serves in every replica, so state keeps
+/// evolving mid-run; suppressed nodes return halfway. Budgets range
+/// from half to twice the backend price: below it Case A bills the
+/// cheapest existing plan, above it the budget shape sets the bid.
+fn route_against_exhaustive(seed: u64, plans: &[NodePlan], gaps: &[u8]) {
+    let h = harness();
+    let ctx = h.ctx();
+    let workload = WorkloadConfig {
+        budget_scale_range: (0.5, 2.0),
+        ..WorkloadConfig::default()
+    };
+    let pool: Vec<Query> = WorkloadGenerator::new(Arc::clone(&h.schema), workload, seed)
+        .take(ROUTED_FROM + gaps.len())
+        .collect();
+    let configs = [(1usize, true), (1, false), (4, true), (4, false)];
+    let mut routers: Vec<CheapestQuote> = configs
+        .iter()
+        .map(|&(threads, batching)| {
+            CheapestQuote::with_options(QuoteOptions {
+                threads,
+                batching,
+                skeletons: None,
+                pinning: false,
+            })
+        })
+        .collect();
+    let mut reference = replica(plans, &pool, &ctx);
+    let mut fleets: Vec<Vec<CacheNode>> = configs
+        .iter()
+        .map(|_| replica(plans, &pool, &ctx))
+        .collect();
+
+    let mut now = SimTime::from_secs(ROUTING_STARTS);
+    for (round, &gap) in gaps.iter().enumerate() {
+        now += SimDuration::from_secs(match gap {
+            0 => 0.0,
+            1 => 1.0,
+            _ => 30.0,
+        });
+        if round == gaps.len() / 2 {
+            for nodes in fleets.iter_mut().chain([&mut reference]) {
+                for node in nodes.iter_mut() {
+                    node.unsuppress_route();
+                }
+            }
+        }
+        for nodes in fleets.iter_mut().chain([&mut reference]) {
+            for node in nodes.iter_mut() {
+                node.accrue(now);
+            }
+        }
+        let query = &pool[ROUTED_FROM + round];
+        let Some((winner, bid)) = exhaustive_scan(&reference, &ctx, query, now) else {
+            continue; // every node draining, booting or suppressed
+        };
+        for ((router, nodes), config) in routers.iter_mut().zip(&mut fleets).zip(&configs) {
+            let chosen = router.route(nodes, &ctx, query, now);
+            assert_eq!(
+                (chosen, router.last_winning_quote()),
+                (winner, Some(bid)),
+                "round {round} under {config:?} for {plans:?}"
+            );
+        }
+        for nodes in fleets.iter_mut().chain([&mut reference]) {
+            let _ = nodes[winner].serve(&ctx, query, now);
+        }
+    }
+}
+
+proptest! {
+    /// Over random fleet histories — cold and warmed nodes, econ-cheap,
+    /// econ-fast and non-economic nodes, two economy configs, several
+    /// arrival rates, and draining, booting and route-suppressed nodes —
+    /// cheapest-quote routing picks exactly the exhaustive scan's winner
+    /// and bid.
+    ///
+    /// Each node after the first copies its predecessor with at most one
+    /// field redrawn, so fleets are rich in near-duplicates: nodes that
+    /// match on all but one of scheme, config, history and status.
+    #[test]
+    fn cheapest_quote_matches_the_exhaustive_scan(
+        seed in 0u64..1_000,
+        first in (0u8..5, 0u8..2, 0u8..6, 0u8..8),
+        edits in prop::collection::vec((0u8..5, 0u8..8), 1..8),
+        gaps in prop::collection::vec(0u8..3, 6..7),
+    ) {
+        let (scheme, econ, warm, status) = first;
+        let mut plans = vec![NodePlan { scheme, econ, warm, status }];
+        for &(field, value) in &edits {
+            let mut next = *plans.last().expect("seeded with the first node");
+            match field {
+                0 => next.scheme = value % 5,
+                1 => next.econ = value % 2,
+                2 => next.warm = value % 6,
+                3 => next.status = value,
+                _ => {} // an exact copy
+            }
+            plans.push(next);
+        }
+        route_against_exhaustive(seed, &plans, &gaps);
     }
 }
