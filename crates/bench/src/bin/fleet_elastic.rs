@@ -20,9 +20,9 @@
 //! cannot be bought back by idle capacity.
 //!
 //! **Determinism self-check** (always on, any scale): each scenario's
-//! elastic run is replayed at more executor shards, larger quote pools,
-//! the per-node completion path **and with the telemetry flight
-//! recorder attached** ([`FleetSim::run_traced`]); the decision ledger
+//! elastic run is replayed at more executor shards **and with the
+//! telemetry flight recorder attached** ([`FleetSim::run_traced`]); the
+//! decision ledger
 //! and every economic aggregate must be **bit-identical** to the
 //! reference run, and the process exits non-zero on any drift —
 //! neither elasticity nor observability may cost the fleet its
@@ -43,8 +43,8 @@
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
 
 use bench::{
-    cli_arg, cli_usage_error, fleet_fingerprint, scale_args, write_bench_json, write_csv, Row,
-    RowSet,
+    cli_arg, cli_max_args, cli_usage_error, fleet_fingerprint, scale_args, write_bench_json,
+    write_csv, Row, RowSet,
 };
 use fleet::{
     spend_cap_breaches, worst_p99, ElasticConfig, FleetConfig, FleetResult, FleetSim, TenantSloSpec,
@@ -122,6 +122,7 @@ impl Cell {
 }
 
 fn main() {
+    cli_max_args(4, USAGE);
     let (sf, queries_per_tenant) = scale_args(50.0, 100, USAGE);
     let tenants: u32 = cli_arg(3, "tenant count", 100, USAGE);
     let nodes: usize = cli_arg(4, "node count", 8, USAGE);
@@ -276,7 +277,7 @@ fn main() {
     // ── Determinism self-check ──────────────────────────────────────
     // Elasticity must preserve the fleet's invariance contract: the
     // decision ledger and every aggregate are a pure function of the
-    // config, not of shards, quote-pool size or completion path.
+    // config, not of the shard count.
     let mut invariant = true;
     let mut traced_registry = MetricsRegistry::new();
     for scenario in scenarios {
@@ -287,20 +288,11 @@ fn main() {
                 .and_then(|c| c.result.as_ref())
                 .expect("elastic cell ran"),
         );
-        for (label, shards, quote_threads, batching) in [
-            ("shards=4", 4usize, 1usize, true),
-            ("pool=4", 1, 4, true),
-            ("pool=8,per-node", 1, 8, false),
-        ] {
-            let mut config = base(scenario, true);
-            config.shards = shards;
-            config.quote_threads = quote_threads;
-            config.quote_batching = batching;
-            let replay = fleet_fingerprint(&FleetSim::new(config).run());
-            if replay != reference {
-                invariant = false;
-                eprintln!("error: {scenario} elastic run drifted under {label}");
-            }
+        let mut config = base(scenario, true);
+        config.shards = 4;
+        if fleet_fingerprint(&FleetSim::new(config).run()) != reference {
+            invariant = false;
+            eprintln!("error: {scenario} elastic run drifted under shards=4");
         }
         // The flight recorder must be a pure observer: a traced replay
         // (every quote round, settlement and lifecycle decision
@@ -311,9 +303,7 @@ fn main() {
             eprintln!("error: {scenario} elastic run drifted under tracing");
         }
         traced_registry.merge(&trace.registry);
-        println!(
-            "{scenario}: ledger + aggregates bit-identical across shards/pools/completion/tracing: OK"
-        );
+        println!("{scenario}: ledger + aggregates bit-identical across shards/tracing: OK");
     }
 
     // ── The economic claim ──────────────────────────────────────────

@@ -48,9 +48,9 @@
 //! total cost. Resilience and economy come from the same control loop.
 //!
 //! **Determinism self-check** (always on, any scale): each faulted
-//! scenario's elastic run is replayed at more executor shards, larger
-//! quote pools, the per-node completion path and with the flight
-//! recorder attached; every aggregate **and the fault record stream**
+//! scenario's elastic run is replayed at 2 and 4 executor shards and
+//! with the flight recorder attached; every aggregate **and the fault
+//! record stream**
 //! must be bit-identical. Every recovery in the grid must reconcile
 //! exactly, and the elastic crash cell must contain a
 //! `population-floor` respawn in its decision ledger. Non-zero exit on
@@ -65,8 +65,8 @@
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
 
 use bench::{
-    cli_arg, cli_usage_error, fleet_fingerprint, scale_args, write_bench_json, write_csv, Row,
-    RowSet,
+    cli_arg, cli_max_args, cli_usage_error, fleet_fingerprint, scale_args, write_bench_json,
+    write_csv, Row, RowSet,
 };
 use fleet::{
     spend_cap_breaches, worst_p99, ElasticAction, ElasticConfig, FaultOutcome, FaultPlan,
@@ -202,6 +202,7 @@ impl Cell {
 }
 
 fn main() {
+    cli_max_args(4, USAGE);
     let (sf, queries_per_tenant) = scale_args(50.0, 100, USAGE);
     let tenants: u32 = cli_arg(3, "tenant count", 64, USAGE);
     let nodes: usize = cli_arg(4, "node count", 8, USAGE);
@@ -426,25 +427,19 @@ fn main() {
     // ── Determinism self-check ──────────────────────────────────────
     // Faults are config: every faulted aggregate — the fault record
     // stream included, via the shared fingerprint — must be a pure
-    // function of the config, never of shards, quote-pool size,
-    // completion path or the attached flight recorder.
+    // function of the config, never of the shard count or the attached
+    // flight recorder.
     let mut failed = false;
     let mut traced_registry = MetricsRegistry::new();
     for scenario in &scenarios[1..] {
         let reference = fleet_fingerprint(find(scenario, "elastic").result());
-        for (label, shards, quote_threads, batching) in [
-            ("shards=4", 4usize, 1usize, true),
-            ("pool=4", 1, 4, true),
-            ("shards=2,pool=2,per-node", 2, 2, false),
-        ] {
+        for shards in [4, 2] {
             let mut config = base(scenario, true);
             config.shards = shards;
-            config.quote_threads = quote_threads;
-            config.quote_batching = batching;
             let replay = fleet_fingerprint(&FleetSim::new(config).run());
             if replay != reference {
                 failed = true;
-                eprintln!("error: {scenario} elastic run drifted under {label}");
+                eprintln!("error: {scenario} elastic run drifted under shards={shards}");
             }
         }
         let (traced, trace) = FleetSim::new(base(scenario, true)).run_traced();
@@ -453,7 +448,7 @@ fn main() {
             eprintln!("error: {scenario} elastic run drifted under tracing");
         }
         traced_registry.merge(&trace.registry);
-        println!("{scenario}: aggregates + fault records bit-identical across shards/pools/completion/tracing: OK");
+        println!("{scenario}: aggregates + fault records bit-identical across shards/tracing: OK");
     }
 
     // ── Ledger-replay reconciliation ────────────────────────────────

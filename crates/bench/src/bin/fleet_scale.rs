@@ -1,58 +1,38 @@
-//! **Fleet scaling grid** — throughput of the sharded fleet executor and
-//! the batched, pooled cheapest-quote fan-out.
+//! **Fleet scaling grid** — throughput of the sharded fleet executor
+//! under cheapest-quote routing.
 //!
-//! Three sweeps over a 100-tenant fleet with cheapest-quote routing:
+//! Two sweeps over a 100-tenant fleet with cheapest-quote routing:
 //!
-//! * **shards** {1, 2, 4, 8} at one quote thread — cells execute on
-//!   worker threads (the PR 1 lever);
-//! * **quote threads** {1, 2, 4, 8} at one shard — each quote round
-//!   resolves the query's plan skeleton through the fleet-wide cache and
-//!   fans batched per-chunk completions out over a **persistent** worker
-//!   pool (this PR's lever; the executor clamps the pool to the
-//!   machine's spare parallelism, so the `pool` column records what
-//!   actually ran);
-//! * **completion cross-check** — the per-node completion reference path
-//!   (`quote_batching = false`) at 1 and 8 quote threads;
-//! * **pinning cross-check** — 8 quote threads with core pinning forced
-//!   on and forced off, regardless of the base setting, so every run
-//!   gates on affinity being a pure placement hint and the committed
-//!   record shows the pinning win (or documents its absence on hosts
-//!   where the executor clamps the pool to one thread);
-//! * **health cross-check** — the reference settings with the vitals
+//! * **shards** {1, 2, 4, 8} — cells execute on worker threads;
+//! * **health cross-check** — the 1-shard settings with the vitals
 //!   scraper (30 s cadence) and per-tenant SLO ledger attached: the
 //!   same bitwise gate becomes the snapshot-on/off identity contract,
 //!   and the row's q/s against the baseline bounds snapshot overhead.
 //!
-//! `FLEET_SCALE_PIN=off` (or `on`) overrides the default-on
-//! `pin_quote_workers` for every *other* cell — CI runs the grid both
-//! ways and diffs nothing, because the in-run invariance check already
-//! compares every aggregate bitwise.
-//!
-//! Every lever is wall-clock-only by construction: every economic
+//! The shard count is wall-clock-only by construction: every economic
 //! aggregate must be *identical* down the whole table, and the run exits
-//! non-zero if any cell deviates — the fleet determinism contract across
-//! {sequential, pooled} × {batched, per-node} quoting. A traced replay
-//! of the reference cell (telemetry flight recorder attached) must
-//! match bit-for-bit too: observability is a pure observer.
+//! non-zero if any cell deviates — the fleet determinism contract. A
+//! traced replay of the reference cell (telemetry flight recorder
+//! attached) must match bit-for-bit too: observability is a pure
+//! observer.
 //!
 //! At the default cell the run writes `BENCH_fleet_scale.json`,
 //! recording measured queries/second (best of several interleaved runs
 //! per cell) next to the committed PR 2 baseline; `bench --bin trend
-//! --check` then holds the committed quote-thread sweep to its own
-//! 1-thread baseline.
+//! --check` then holds the committed health-sweep row to its 1-shard
+//! baseline.
 //!
 //! Usage: `cargo run --release -p bench --bin fleet_scale \
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
 
 use bench::{
-    cli_arg, cli_usage_error, fleet_fingerprint, scale_args, write_bench_json, write_csv, Row,
-    RowSet,
+    cli_arg, cli_max_args, cli_usage_error, fleet_fingerprint, scale_args, write_bench_json,
+    write_csv, Row, RowSet,
 };
 use fleet::{FleetConfig, FleetResult, FleetSim, TenantSloSpec};
 use pricing::Money;
 
 const SHARD_GRID: [usize; 4] = [1, 2, 4, 8];
-const QUOTE_THREAD_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// Queries/second of the default cell (SF 50, 100 tenants × 100 queries,
 /// 8 nodes, cheapest-quote, shards = 1) measured at commit 925d16f
@@ -77,10 +57,6 @@ const MEASURE_REPS: usize = 12;
 struct Cell {
     sweep: &'static str,
     shards: usize,
-    quote_threads: usize,
-    pool_threads: usize,
-    batching: bool,
-    pinning: bool,
     sim: FleetSim,
     /// Measured queries/second of every rep, in run order. The committed
     /// record keeps the best *and* the min/median spread
@@ -97,52 +73,20 @@ impl Cell {
 }
 
 /// Prepares one grid cell (schema/candidate prep excluded from timing).
-fn prepare_cell(
-    base: &FleetConfig,
-    sweep: &'static str,
-    shards: usize,
-    quote_threads: usize,
-    batching: bool,
-    pinning: bool,
-) -> Cell {
+fn prepare_cell(base: &FleetConfig, sweep: &'static str, shards: usize) -> Cell {
     let mut config = base.clone();
     config.shards = shards;
-    config.quote_threads = quote_threads;
-    config.quote_batching = batching;
-    config.pin_quote_workers = pinning;
-    let sim = FleetSim::new(config);
     Cell {
         sweep,
         shards,
-        quote_threads,
-        // The executor's own clamp, so the reported column cannot drift
-        // from what actually runs.
-        pool_threads: sim.quote_pool_threads(),
-        batching,
-        pinning,
-        sim,
+        sim: FleetSim::new(config),
         rep_qps: Vec::new(),
         result: None,
     }
 }
 
-/// Base `pin_quote_workers` for every cell outside the pinning-sweep:
-/// `FLEET_SCALE_PIN=off|0` forces it off, `on|1` (and unset) on. CI runs
-/// the grid under both so the invariance gate exercises affinity both
-/// ways end to end.
-fn base_pinning() -> bool {
-    match std::env::var("FLEET_SCALE_PIN") {
-        Ok(v) if v.eq_ignore_ascii_case("off") || v == "0" => false,
-        Ok(v) if v.eq_ignore_ascii_case("on") || v == "1" || v.is_empty() => true,
-        Ok(v) => cli_usage_error(
-            &format!("FLEET_SCALE_PIN must be on or off, got {v:?}"),
-            USAGE,
-        ),
-        Err(_) => true,
-    }
-}
-
 fn main() {
+    cli_max_args(4, USAGE);
     let (sf, queries_per_tenant) = scale_args(50.0, 100, USAGE);
     let tenants: u32 = cli_arg(3, "tenant count", 100, USAGE);
     let nodes: usize = cli_arg(4, "node count", 8, USAGE);
@@ -154,18 +98,16 @@ fn main() {
         && tenants == 100
         && nodes == 8;
 
-    let pinning = base_pinning();
     let mut base = FleetConfig::uniform(tenants, nodes, queries_per_tenant, 1.0);
     base.scale_factor = sf;
     base.cells = 16;
-    base.pin_quote_workers = pinning;
 
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     println!("================================================================");
     println!(
-        "fleet_scale: {tenants} tenants x {nodes} nodes, shard sweep {SHARD_GRID:?} + quote-thread sweep {QUOTE_THREAD_GRID:?} + completion cross-check"
+        "fleet_scale: {tenants} tenants x {nodes} nodes, shard sweep {SHARD_GRID:?} + health cross-check"
     );
     println!(
         "(TPC-H SF {sf}, {queries_per_tenant} queries/tenant = {} total, cheapest-quote routing, {parallelism} core(s) available)",
@@ -173,13 +115,9 @@ fn main() {
     );
     println!("================================================================");
     println!(
-        "{:>20} {:>7} {:>9} {:>5} {:>9} {:>8} {:>12} {:>12} {:>12} {:>14} {:>12} {:>8} {:>8}",
+        "{:>20} {:>7} {:>12} {:>12} {:>12} {:>14} {:>12} {:>8} {:>8}",
         "sweep",
         "shards",
-        "qthreads",
-        "pool",
-        "batching",
-        "pinning",
         "queries/s",
         "q/s min",
         "q/s median",
@@ -189,38 +127,10 @@ fn main() {
         "builds"
     );
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for shards in SHARD_GRID {
-        cells.push(prepare_cell(&base, "shard-sweep", shards, 1, true, pinning));
-    }
-    // Thread 1 of the quote sweep is the (shards 1, threads 1) cell above.
-    for threads in &QUOTE_THREAD_GRID[1..] {
-        cells.push(prepare_cell(
-            &base,
-            "quote-thread-sweep",
-            1,
-            *threads,
-            true,
-            pinning,
-        ));
-    }
-    // The per-node completion reference path, sequential and pooled.
-    for threads in [1, 8] {
-        cells.push(prepare_cell(
-            &base,
-            "per-node-completion",
-            1,
-            threads,
-            false,
-            pinning,
-        ));
-    }
-    // Affinity both ways at the widest pool, whatever the base setting:
-    // these two rows put pinning itself under the bitwise invariance
-    // gate and record its throughput effect side by side.
-    for pin in [true, false] {
-        cells.push(prepare_cell(&base, "pinning-sweep", 1, 8, true, pin));
-    }
+    let mut cells: Vec<Cell> = SHARD_GRID
+        .iter()
+        .map(|&shards| prepare_cell(&base, "shard-sweep", shards))
+        .collect();
     // Health-sweep: the vitals scraper and SLO ledger attached at the
     // reference settings. The row flows through the same bitwise
     // invariance gate as everything else — which *is* the
@@ -232,14 +142,7 @@ fn main() {
             p99_target_secs: 10.0,
             spend_cap: Some(Money::from_dollars(1.0)),
         });
-        cells.push(prepare_cell(
-            &health_base,
-            "health-sweep",
-            1,
-            1,
-            true,
-            pinning,
-        ));
+        cells.push(prepare_cell(&health_base, "health-sweep", 1));
     }
     // `FLEET_SCALE_REPS` forces the rep count at any cell — local A/B
     // profiling needs best-of-N at reduced cells too. The record still
@@ -271,10 +174,6 @@ fn main() {
         let row = Row::new()
             .str_cell("sweep", cell.sweep, 20, false)
             .num_cell("shards", cell.shards, 7, false)
-            .num_cell("quote_threads", cell.quote_threads, 9, false)
-            .num_cell("pool_threads", cell.pool_threads, 5, false)
-            .num_cell("batching", cell.batching, 9, false)
-            .num_cell("pinning", cell.pinning, 8, false)
             .f64_cell("qps", cell.spread().best, 12, 0, 0)
             .f64_cell("qps_min", cell.spread().min, 12, 0, 0)
             .f64_cell("qps_median", cell.spread().median, 12, 0, 0)
@@ -289,8 +188,8 @@ fn main() {
         {
             invariant = false;
             eprintln!(
-                "error: aggregates drifted at sweep={} shards={} quote_threads={} batching={} pinning={}",
-                cell.sweep, cell.shards, cell.quote_threads, cell.batching, cell.pinning
+                "error: aggregates drifted at sweep={} shards={}",
+                cell.sweep, cell.shards
             );
         }
     }
@@ -302,8 +201,6 @@ fn main() {
     let traced_registry = {
         let mut config = base.clone();
         config.shards = 1;
-        config.quote_threads = 1;
-        config.quote_batching = true;
         let (traced, trace) = FleetSim::new(config).run_traced();
         if fleet_fingerprint(&traced) != fleet_fingerprint(&reference) {
             invariant = false;
@@ -314,21 +211,7 @@ fn main() {
         trace.registry
     };
 
-    // The regression this PR fixes must stay fixed: pooled q/s at 2+
-    // threads may not fall below the 1-thread baseline. Reported here
-    // (reduced-scale CI runs are too noisy to gate on), enforced on the
-    // committed record by `trend --check`.
     let baseline_qps = cells[0].spread().best;
-    for cell in cells.iter().filter(|c| c.sweep == "quote-thread-sweep") {
-        let qps = cell.spread().best;
-        if qps < baseline_qps {
-            println!(
-                "note: quote_threads={} measured {qps:.0} q/s below the 1-thread baseline {baseline_qps:.0} ({:+.1}%)",
-                cell.quote_threads,
-                (qps - baseline_qps) / baseline_qps * 100.0
-            );
-        }
-    }
 
     // Snapshot overhead: the health-sweep row against the identical
     // baseline cell. Reported at every scale; the committed record is
@@ -365,12 +248,11 @@ fn main() {
              \"parallelism\": {parallelism}, \
              \"qps_note\": \"best of {reps} interleaved runs per cell; qps_min/qps_median record the rep spread\", \
              \"registry_note\": \"traced-replay registry of the reference cell + fleet-global skeleton_cache.* counters (wall-clock-dependent, excluded from the invariance contract)\", \
-             \"pinning_note\": \"pinning-sweep rows measure affinity on vs off at 8 quote threads; pool.pinned_workers in the registry records how many pins actually took — 0 on hosts where the executor clamps the pool to one thread (no spare parallelism), in which case the rows document the absence of a pinning effect rather than a win\", \
              \"health_note\": \"the health-sweep row runs the reference settings with a 30s vitals cadence and per-tenant SLO ledger attached; its cost/queries/mean must be bit-identical to the baseline row (the snapshot-on/off identity gate) and its q/s bounds the snapshot overhead\", \
              \"registry\": {registry_json}, \
              \"pr2_baseline_qps\": {PR2_BASELINE_QPS:.0}, \"speedup_vs_pr2\": {:.2}, \
              \"baseline_note\": \"pr2_baseline_qps: commit 925d16f (one full enumeration per \
-             bidding node) at this cell, shards 1, quote_threads 1\"}}",
+             bidding node) at this cell, shards 1\"}}",
             baseline_qps / PR2_BASELINE_QPS
         );
         write_bench_json("fleet_scale", &config, set.json_rows());
@@ -379,11 +261,9 @@ fn main() {
     }
 
     if invariant {
-        println!(
-            "aggregates identical across shard counts, quote-thread counts, completion paths and pinning: OK"
-        );
+        println!("aggregates identical across shard counts and health snapshots: OK");
     } else {
-        eprintln!("error: fleet aggregates varied with a wall-clock-only knob");
+        eprintln!("error: fleet aggregates varied with the shard count or tracing");
         std::process::exit(1);
     }
 }

@@ -22,7 +22,7 @@
 //! Usage: `{bin} [scale_factor] [num_queries]` (defaults 100, 50000 — the
 //! acceptance cell; CI runs a reduced `10 2000` grid).
 
-use bench::{cli_arg, cli_usage_error};
+use bench::{cli_arg, cli_max_args, cli_usage_error};
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use econ::{EconConfig, PlanCacheStats};
 use planner::{generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext};
@@ -256,6 +256,7 @@ fn write_json(cells: &[Cell], sf: f64, n: u64, default_cell: bool) {
 }
 
 fn main() {
+    cli_max_args(2, USAGE);
     let sf: f64 = cli_arg(1, "scale factor", 100.0, USAGE);
     let n: u64 = cli_arg(2, "query count", 50_000, USAGE);
     if !sf.is_finite() || sf <= 0.0 || n == 0 {

@@ -6,35 +6,34 @@
 //! commit, and prints one line per bench: the q/s trajectory (oldest →
 //! newest, the working tree appended when dirty), the last step's
 //! delta, and regression flags. `fleet_scale` records additionally get
-//! their quote-thread sweep checked against the record's own 1-thread
-//! baseline — the threaded-quote regression staying fixed — plus the
-//! completion-path gate (the recorded batched default must be the
-//! fastest sweep row), the pinning-invariance gate (pinned and
-//! unpinned rows must agree on every economic aggregate), and the
-//! health-plane gate (the vitals-snapshots-on row must agree bitwise
+//! the health-plane gate (the vitals-snapshots-on row must agree bitwise
 //! with the snapshots-off baseline and keep its throughput — the
 //! health plane is a pure observer off the hot path); `fleet_faults`
 //! records get their fault-plane claims re-checked (every ledger replay
 //! reconciled, elastic-with-respawn still cheaper than
 //! static-with-crash, drift alarms silent on fault-free cells and
-//! firing on the degraded one). The `pool.pinned_workers` /
-//! `plan_cache.victim_hits` registry counters are surfaced per record
-//! when present — historical records without them are simply silent.
+//! firing on the degraded one). The `plan_cache.victim_hits` registry
+//! counter is surfaced per record when present — historical records
+//! without it are simply silent.
 //!
 //! `--check` (CI mode) exits non-zero when any record is unreadable,
-//! the last step regresses beyond the tolerance, or sweep/fault-plane
-//! regression rows are committed.
+//! the last step regresses beyond the tolerance, or health-plane or
+//! fault-plane regression rows are committed. Any other argument is a
+//! usage error (exit 2), so a mistyped `--check` cannot pass as a report.
 //!
 //! Usage: `cargo run --release -p bench --bin trend [-- --check]`
 
+use bench::cli_usage_error;
 use bench::trend::{bench_trend, record_files, registry_counter, REGRESSION_TOLERANCE};
 
-/// New-in-PR-8 registry counters worth surfacing per record. Reads the
-/// working-tree record directly; keys absent from historical records
-/// simply print nothing.
+const USAGE: &str = "{bin} [--check]";
+
+/// Registry counters worth surfacing per record. Reads the working-tree
+/// record directly; keys absent from historical records simply print
+/// nothing.
 fn registry_notes(file: &str) -> Option<String> {
     let doc: serde::Value = serde_json::from_str(&std::fs::read_to_string(file).ok()?).ok()?;
-    let notes: Vec<String> = ["pool.pinned_workers", "plan_cache.victim_hits"]
+    let notes: Vec<String> = ["plan_cache.victim_hits"]
         .iter()
         .filter_map(|key| Some(format!("{key}={:.0}", registry_counter(&doc, key)?)))
         .collect();
@@ -42,7 +41,13 @@ fn registry_notes(file: &str) -> Option<String> {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+    let mut check = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--check" => check = true,
+            other => cli_usage_error(&format!("unknown argument `{other}`"), USAGE),
+        }
+    }
     let files = record_files();
     if files.is_empty() {
         println!("no BENCH_*.json records in the working directory");
@@ -85,21 +90,6 @@ fn main() {
         }
         if let Some(message) = trend.regression_message() {
             flags.push(format!("REGRESSED: {message}"));
-        }
-        if !trend.sweep_regressions.is_empty() {
-            flags.push(format!(
-                "QUOTE-SWEEP: {}",
-                trend.sweep_regressions.join("; ")
-            ));
-        }
-        if !trend.completion_regressions.is_empty() {
-            flags.push(format!(
-                "COMPLETION-PATH: {}",
-                trend.completion_regressions.join("; ")
-            ));
-        }
-        if !trend.pinning_regressions.is_empty() {
-            flags.push(format!("PINNING: {}", trend.pinning_regressions.join("; ")));
         }
         if !trend.health_regressions.is_empty() {
             flags.push(format!(

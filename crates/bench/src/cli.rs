@@ -29,6 +29,15 @@ pub fn cli_arg<T: std::str::FromStr>(position: usize, what: &str, default: T, us
     }
 }
 
+/// Exits with a usage error when more than `max` positional arguments
+/// were given: a trailing argument the binary does not read would
+/// otherwise be ignored silently.
+pub fn cli_max_args(max: usize, usage: &str) {
+    if let Some(extra) = std::env::args().nth(max + 1) {
+        cli_usage_error(&format!("unexpected argument `{extra}`"), usage);
+    }
+}
+
 /// Parses the common `[scale_factor] [num_queries]` prefix with
 /// bin-specific defaults, enforcing the shared domain rules (finite
 /// positive scale, non-zero query count).
@@ -58,5 +67,6 @@ const SCALE_USAGE: &str =
 /// validation).
 #[must_use]
 pub fn cli_scale() -> (f64, u64) {
+    cli_max_args(2, SCALE_USAGE);
     scale_args(crate::DEFAULT_SF, crate::DEFAULT_QUERIES, SCALE_USAGE)
 }

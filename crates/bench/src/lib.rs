@@ -20,6 +20,8 @@
 //!
 //! Criterion micro-benches live in `benches/`.
 
+#![forbid(unsafe_code)]
+
 use simulator::{run_simulation, RunResult, Scheme, SimConfig};
 use std::io::Write;
 use std::path::Path;
@@ -28,7 +30,7 @@ pub mod cli;
 pub mod row;
 pub mod trend;
 
-pub use cli::{cli_arg, cli_scale, cli_usage_error, scale_args};
+pub use cli::{cli_arg, cli_max_args, cli_scale, cli_usage_error, scale_args};
 pub use row::{Row, RowSet};
 
 /// Best / min / median of one cell's per-rep throughput measurements.

@@ -8,10 +8,10 @@
 //! and flags regressions. The `trend` binary prints one line per bench;
 //! `trend --check` (CI) exits non-zero when the working-tree record
 //! regresses against the last committed one, when the committed
-//! `fleet_scale` quote-thread sweep contains rows below its own
-//! sequential baseline, when its health-sweep row shows the vitals
-//! snapshots perturbing the run (aggregates drifting bitwise from the
-//! snapshots-off baseline, or throughput leaking), or when a committed
+//! `fleet_scale` health-sweep row shows the vitals snapshots perturbing
+//! the run (aggregates drifting bitwise from the snapshots-off
+//! baseline, or throughput leaking) or has no baseline to be held to,
+//! or when a committed
 //! `fleet_faults` record violates its fault-plane claims (a ledger
 //! replay that no longer reconciles, an elastic fleet that no longer
 //! beats the static one on cost through a crash, or a drift-alarm
@@ -43,8 +43,8 @@ pub fn headline_qps(doc: &Value) -> Option<f64> {
 
 /// Relative rep spread of one record cell — `(best − min) / best` from
 /// its `qps` / `qps_min` keys; `None` when the cell carries no spread
-/// (or a zero best). The single definition both the headline check and
-/// the quote-sweep check measure noise with.
+/// (or a zero best). The single definition every check measures noise
+/// with.
 #[must_use]
 pub fn cell_spread(cell: &Value) -> Option<f64> {
     let best = cell.get("qps")?.as_f64()?;
@@ -64,141 +64,18 @@ pub fn headline_spread(doc: &Value) -> Option<f64> {
     doc.get("cells")?.as_seq()?.iter().find_map(cell_spread)
 }
 
-/// Quote-thread-sweep regression rows of a `fleet_scale` record: every
-/// `quote-thread-sweep` cell whose q/s falls below the record's own
-/// sequential baseline (the `shards 1, quote_threads 1` cell) by more
-/// than the noise band — [`REGRESSION_TOLERANCE`] widened to the rep
-/// spread of both cells when the record carries `qps_min`. Dips inside
-/// the band are measurement noise between cells running identical code
-/// (on a saturated single-core runner the spread routinely exceeds the
-/// blanket 5 %), while the regression this check exists for was an 87 %
-/// collapse. Returns one human-readable description per offending row;
-/// empty for records of other benches.
-#[must_use]
-pub fn quote_sweep_regressions(doc: &Value) -> Vec<String> {
-    let Some(cells) = doc.get("cells").and_then(Value::as_seq) else {
-        return Vec::new();
-    };
-    let rel_spread = |cell: &Value| -> f64 { cell_spread(cell).unwrap_or(0.0) };
-    let baseline = cells.iter().find_map(|cell| {
-        let shards = cell.get("shards")?.as_f64()?;
-        let threads = cell.get("quote_threads")?.as_f64()?;
-        if shards == 1.0 && threads == 1.0 {
-            Some((cell.get("qps")?.as_f64()?, rel_spread(cell)))
-        } else {
-            None
-        }
-    });
-    let Some((baseline, baseline_spread)) = baseline else {
-        return Vec::new();
-    };
-    cells
-        .iter()
-        .filter(|cell| cell.get("sweep").and_then(Value::as_str) == Some("quote-thread-sweep"))
-        .filter_map(|cell| {
-            let threads = cell.get("quote_threads")?.as_f64()?;
-            let qps = cell.get("qps")?.as_f64()?;
-            let tolerance = REGRESSION_TOLERANCE
-                .max(baseline_spread)
-                .max(rel_spread(cell));
-            (qps < baseline * (1.0 - tolerance)).then(|| {
-                format!(
-                    "quote_threads={threads:.0} at {qps:.0} q/s falls below the \
-                     1-thread baseline ({baseline:.0} q/s) beyond the {:.1}% noise band",
-                    tolerance * 100.0
-                )
-            })
-        })
-        .collect()
-}
-
-/// Completion-path regression of a `fleet_scale` record: the recorded
-/// default completion path (batched, `batching: true`) must also be the
-/// fastest one. Any `batching: false` reference row beating the *best*
-/// batched row beyond the spread-widened noise band means the default
-/// ships the slower path — exactly the inversion the committed PR 7
-/// record carried (per-node 51.2k q/s over batched 50.4k). Records
-/// without a `batching` column (other benches) produce no flags.
-#[must_use]
-pub fn completion_path_regressions(doc: &Value) -> Vec<String> {
-    let Some(cells) = doc.get("cells").and_then(Value::as_seq) else {
-        return Vec::new();
-    };
-    let rel_spread = |cell: &Value| -> f64 { cell_spread(cell).unwrap_or(0.0) };
-    let batched: Vec<&Value> = cells
-        .iter()
-        .filter(|c| c.get("batching").and_then(Value::as_bool) == Some(true))
-        .collect();
-    let Some((best_batched, batched_spread)) = batched
-        .iter()
-        .filter_map(|c| Some((c.get("qps")?.as_f64()?, rel_spread(c))))
-        .max_by(|a, b| a.0.total_cmp(&b.0))
-    else {
-        return Vec::new();
-    };
-    cells
-        .iter()
-        .filter(|c| c.get("batching").and_then(Value::as_bool) == Some(false))
-        .filter_map(|cell| {
-            let qps = cell.get("qps")?.as_f64()?;
-            let threads = cell.get("quote_threads")?.as_f64()?;
-            let tolerance = REGRESSION_TOLERANCE
-                .max(batched_spread)
-                .max(rel_spread(cell));
-            (qps > best_batched * (1.0 + tolerance)).then(|| {
-                format!(
-                    "per-node completion at quote_threads={threads:.0} measures {qps:.0} q/s, \
-                     beating the best batched row ({best_batched:.0} q/s) beyond the {:.1}% \
-                     noise band — the recorded default is not the fastest path",
-                    tolerance * 100.0
-                )
-            })
-        })
-        .collect()
-}
-
-/// Pinning-invariance regression of a `fleet_scale` record: core
-/// affinity is a placement hint, so a record carrying a `pinning` column
-/// must show bit-identical economic aggregates (`total_cost_usd`,
-/// `mean_response_s`, `builds`) between its pinned and unpinned rows.
-/// The live run gates this bitwise before writing; this check keeps the
-/// *committed* record honest between re-measurements. Historical records
-/// without the column (pre-pinning) produce no flags.
-#[must_use]
-pub fn pinning_invariance_regressions(doc: &Value) -> Vec<String> {
-    let Some(cells) = doc.get("cells").and_then(Value::as_seq) else {
-        return Vec::new();
-    };
-    let row = |pin: bool| -> Option<&Value> {
-        cells
-            .iter()
-            .find(|c| c.get("pinning").and_then(Value::as_bool) == Some(pin))
-    };
-    let (Some(on), Some(off)) = (row(true), row(false)) else {
-        return Vec::new();
-    };
-    ["total_cost_usd", "mean_response_s", "builds"]
-        .iter()
-        .filter_map(|key| {
-            let a = on.get(key)?.as_f64()?;
-            let b = off.get(key)?.as_f64()?;
-            (a.to_bits() != b.to_bits()).then(|| {
-                format!("{key} differs between pinned ({a}) and unpinned ({b}) rows — affinity must not affect results")
-            })
-        })
-        .collect()
-}
-
 /// Health-plane regression rows of a `fleet_scale` record: the vitals
 /// scraper and SLO ledger are pure observers, so a record carrying a
 /// `health-sweep` row must show bit-identical economic aggregates
 /// between that row (snapshots on) and the sequential baseline
-/// (snapshots off), and the row's throughput must stay inside the
-/// noise band of the baseline — the snapshot path stays off the hot
-/// path or it is a regression. The live run gates the bit-identity
-/// before writing; this check keeps the *committed* record honest
-/// between re-measurements. Historical records without the row
-/// (pre-health-plane) produce no flags.
+/// (snapshots off: the 1-shard `shard-sweep` row), and the row's
+/// throughput must stay inside the noise band of the baseline — the
+/// snapshot path stays off the hot path or it is a regression. A
+/// health row with no baseline to compare against is itself flagged,
+/// so a record that drops the baseline cannot pass silently. The live
+/// run gates the bit-identity before writing; this check keeps the
+/// *committed* record honest between re-measurements. Historical
+/// records without the row (pre-health-plane) produce no flags.
 #[must_use]
 pub fn health_sweep_regressions(doc: &Value) -> Vec<String> {
     let Some(cells) = doc.get("cells").and_then(Value::as_seq) else {
@@ -210,14 +87,19 @@ pub fn health_sweep_regressions(doc: &Value) -> Vec<String> {
     else {
         return Vec::new();
     };
+    // Records from before the quote-thread sweep was retired also carry
+    // a `quote_threads` column; their baseline is the 1-thread row.
     let baseline = cells.iter().find(|cell| {
-        let shards = cell.get("shards").and_then(Value::as_f64);
-        let threads = cell.get("quote_threads").and_then(Value::as_f64);
-        let sweep = cell.get("sweep").and_then(Value::as_str);
-        shards == Some(1.0) && threads == Some(1.0) && sweep != Some("health-sweep")
+        cell.get("sweep").and_then(Value::as_str) == Some("shard-sweep")
+            && cell.get("shards").and_then(Value::as_f64) == Some(1.0)
+            && cell
+                .get("quote_threads")
+                .is_none_or(|t| t.as_f64() == Some(1.0))
     });
     let Some(baseline) = baseline else {
-        return Vec::new();
+        return vec![
+            "health-sweep row has no 1-shard shard-sweep baseline to be held to".to_string(),
+        ];
     };
     let mut flags: Vec<String> = ["total_cost_usd", "mean_response_s", "builds"]
         .iter()
@@ -252,7 +134,7 @@ pub fn health_sweep_regressions(doc: &Value) -> Vec<String> {
 }
 
 /// A named counter from the record's committed registry snapshot
-/// (`config.registry.entries[]`), e.g. `pool.pinned_workers` or
+/// (`config.registry.entries[]`), e.g. `quote.shared_bids` or
 /// `plan_cache.victim_hits`. `None` when the record predates the key —
 /// absence is fine, historical records are not re-measured.
 #[must_use]
@@ -441,21 +323,11 @@ pub struct BenchTrend {
     pub tolerance: f64,
     /// True when the last step regresses beyond [`Self::tolerance`].
     pub regressed: bool,
-    /// Offending `fleet_scale` quote-sweep rows in the newest content
-    /// (empty for other benches and healthy records).
-    pub sweep_regressions: Vec<String>,
-    /// `fleet_scale` rows showing the recorded default completion path
-    /// is not the fastest one (empty for other benches and healthy
-    /// records).
-    pub completion_regressions: Vec<String>,
-    /// `fleet_scale` pinned-vs-unpinned rows whose economic aggregates
-    /// differ — affinity leaked into results (empty for records without
-    /// a `pinning` column and for healthy records).
-    pub pinning_regressions: Vec<String>,
     /// `fleet_scale` health-sweep violations — the snapshots-on row
     /// disagreeing with the snapshots-off baseline on economic
-    /// aggregates, or its throughput falling out of the noise band
-    /// (empty for records without the row and for healthy records).
+    /// aggregates, its throughput falling out of the noise band, or no
+    /// baseline row at all (empty for records without the row and for
+    /// healthy records).
     pub health_regressions: Vec<String>,
     /// Violated `fleet_faults` fault-plane claims in the newest content
     /// — unreconciled ledger replays or a crash scenario where the
@@ -529,17 +401,11 @@ pub fn bench_trend(file: &str) -> BenchTrend {
 
     let working = std::fs::read_to_string(file);
     let mut error = None;
-    let mut sweep_regressions = Vec::new();
-    let mut completion_regressions = Vec::new();
-    let mut pinning_regressions = Vec::new();
     let mut health_regressions = Vec::new();
     let mut fault_regressions = Vec::new();
     match &working {
         Ok(content) => match serde_json::from_str::<Value>(content) {
             Ok(doc) => {
-                sweep_regressions = quote_sweep_regressions(&doc);
-                completion_regressions = completion_path_regressions(&doc);
-                pinning_regressions = pinning_invariance_regressions(&doc);
                 health_regressions = health_sweep_regressions(&doc);
                 fault_regressions = fault_plane_regressions(&doc);
                 match headline_qps(&doc) {
@@ -586,9 +452,6 @@ pub fn bench_trend(file: &str) -> BenchTrend {
         points,
         last_delta,
         tolerance,
-        sweep_regressions,
-        completion_regressions,
-        pinning_regressions,
         health_regressions,
         fault_regressions,
         error,
@@ -638,77 +501,9 @@ mod tests {
     }
 
     #[test]
-    fn quote_sweep_regressions_flag_rows_below_baseline() {
-        let doc = parse(
-            r#"{"cells": [
-                {"sweep": "shard-sweep", "shards": 1, "quote_threads": 1, "qps": 45557},
-                {"sweep": "quote-thread-sweep", "shards": 1, "quote_threads": 2, "qps": 46000},
-                {"sweep": "quote-thread-sweep", "shards": 1, "quote_threads": 8, "qps": 5908}
-            ]}"#,
-        );
-        let flags = quote_sweep_regressions(&doc);
-        assert_eq!(flags.len(), 1, "{flags:?}");
-        assert!(flags[0].contains("quote_threads=8"));
-    }
-
-    #[test]
-    fn non_fleet_records_have_no_sweep_regressions() {
+    fn non_fleet_records_have_no_health_regressions() {
         let doc = parse(r#"{"cells": [{"a": 0.1, "total_cost_usd": 3.2}]}"#);
-        assert!(quote_sweep_regressions(&doc).is_empty());
-        assert!(completion_path_regressions(&doc).is_empty());
-        assert!(pinning_invariance_regressions(&doc).is_empty());
         assert!(health_sweep_regressions(&doc).is_empty());
-    }
-
-    #[test]
-    fn completion_path_flags_per_node_beating_the_batched_default() {
-        // The PR 7 inversion: per-node 51,585 over best batched 50,414 is
-        // inside the rows' own rep spread, so it is noise, not a flag …
-        let committed = parse(
-            r#"{"cells": [
-                {"sweep": "shard-sweep", "shards": 1, "quote_threads": 1, "batching": true,
-                 "qps": 50414, "qps_min": 40472},
-                {"sweep": "per-node-completion", "shards": 1, "quote_threads": 8,
-                 "batching": false, "qps": 51585, "qps_min": 43077}
-            ]}"#,
-        );
-        assert!(completion_path_regressions(&committed).is_empty());
-        // … but a per-node row clearing the band means the recorded
-        // default ships the slower path.
-        let inverted = parse(
-            r#"{"cells": [
-                {"sweep": "shard-sweep", "shards": 1, "quote_threads": 1, "batching": true,
-                 "qps": 50000, "qps_min": 49000},
-                {"sweep": "per-node-completion", "shards": 1, "quote_threads": 1,
-                 "batching": false, "qps": 60000, "qps_min": 59000}
-            ]}"#,
-        );
-        let flags = completion_path_regressions(&inverted);
-        assert_eq!(flags.len(), 1, "{flags:?}");
-        assert!(flags[0].contains("not the fastest path"), "{flags:?}");
-    }
-
-    #[test]
-    fn pinning_rows_must_agree_on_every_economic_aggregate() {
-        let healthy = parse(
-            r#"{"cells": [
-                {"sweep": "pinning-sweep", "pinning": true, "qps": 52000,
-                 "total_cost_usd": 1.2345, "mean_response_s": 0.017, "builds": 283},
-                {"sweep": "pinning-sweep", "pinning": false, "qps": 50000,
-                 "total_cost_usd": 1.2345, "mean_response_s": 0.017, "builds": 283}
-            ]}"#,
-        );
-        assert!(pinning_invariance_regressions(&healthy).is_empty());
-        let leaky = parse(
-            r#"{"cells": [
-                {"pinning": true, "total_cost_usd": 1.2345, "mean_response_s": 0.017, "builds": 283},
-                {"pinning": false, "total_cost_usd": 1.2399, "mean_response_s": 0.017, "builds": 284}
-            ]}"#,
-        );
-        let flags = pinning_invariance_regressions(&leaky);
-        assert_eq!(flags.len(), 2, "{flags:?}");
-        assert!(flags[0].contains("total_cost_usd"), "{flags:?}");
-        assert!(flags[1].contains("builds"), "{flags:?}");
     }
 
     #[test]
@@ -743,6 +538,39 @@ mod tests {
                  "qps": 50000, "total_cost_usd": 1.2345}]}"#,
         );
         assert!(health_sweep_regressions(&legacy).is_empty());
+    }
+
+    #[test]
+    fn health_sweep_gate_survives_records_without_quote_threads() {
+        // The shard sweep's 1-shard row is the baseline whether or not
+        // the record carries a `quote_threads` column.
+        let drifting = parse(
+            r#"{"cells": [
+                {"sweep": "shard-sweep", "shards": 1, "qps": 50000,
+                 "total_cost_usd": 1.2345, "mean_response_s": 0.017, "builds": 283},
+                {"sweep": "shard-sweep", "shards": 2, "qps": 52000,
+                 "total_cost_usd": 1.2345, "mean_response_s": 0.017, "builds": 283},
+                {"sweep": "health-sweep", "shards": 1, "qps": 49000,
+                 "total_cost_usd": 1.2345, "mean_response_s": 0.018, "builds": 283}
+            ]}"#,
+        );
+        let flags = health_sweep_regressions(&drifting);
+        assert_eq!(flags.len(), 1, "{flags:?}");
+        assert!(flags[0].contains("mean_response_s"), "{flags:?}");
+        // A health row with nothing to compare against is flagged rather
+        // than passing silently.
+        let orphan = parse(
+            r#"{"cells": [
+                {"sweep": "shard-sweep", "shards": 2, "qps": 52000, "total_cost_usd": 1.2345},
+                {"sweep": "health-sweep", "shards": 1, "qps": 49000, "total_cost_usd": 1.2345}
+            ]}"#,
+        );
+        let flags = health_sweep_regressions(&orphan);
+        assert_eq!(flags.len(), 1, "{flags:?}");
+        assert!(
+            flags[0].contains("no 1-shard shard-sweep baseline"),
+            "{flags:?}"
+        );
     }
 
     #[test]
@@ -781,11 +609,11 @@ mod tests {
     fn registry_counters_tolerate_historical_absence() {
         let doc = parse(
             r#"{"config": {"registry": {"entries": [
-                {"name": "pool.pinned_workers", "value": {"Counter": {"value": 7}}},
+                {"name": "quote.shared_bids", "value": {"Counter": {"value": 7}}},
                 {"name": "fleet.payments", "value": {"Gauge": {"amount": 12}}}
             ]}}}"#,
         );
-        assert_eq!(registry_counter(&doc, "pool.pinned_workers"), Some(7.0));
+        assert_eq!(registry_counter(&doc, "quote.shared_bids"), Some(7.0));
         // Absent key, non-counter kind, and pre-registry records all read
         // as None rather than flagging.
         assert_eq!(registry_counter(&doc, "plan_cache.victim_hits"), None);
@@ -906,9 +734,6 @@ mod tests {
             last_delta: -0.2,
             tolerance: 0.05,
             regressed: true,
-            sweep_regressions: Vec::new(),
-            completion_regressions: Vec::new(),
-            pinning_regressions: Vec::new(),
             health_regressions: Vec::new(),
             fault_regressions: Vec::new(),
             error: None,

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use cache::{CacheState, CachedStructure, StructureKey};
 use planner::enumerate::EnumerationOptions;
 use planner::{
-    complete_plans_into, enumerate_plans_into, skyline_partition_hot, BatchCompleter, CacheView,
-    Estimator, LazySkeleton, PlanBuffer, PlanHot, PlanSkeleton, PlannerContext, QueryPlan,
+    complete_plans_into, enumerate_plans_into, skyline_partition_hot, Estimator, LazySkeleton,
+    PlanBuffer, PlanHot, PlanSkeleton, PlannerContext, QueryPlan,
 };
 use pricing::Money;
 use simcore::{SimDuration, SimTime};
@@ -696,118 +696,6 @@ impl EconomyManager {
         })
     }
 
-    /// Phase 1 of a batched quote round ([`QuoteBatch`]): serves the bid
-    /// immediately when the memoized completion is current (exactly the
-    /// hit path of [`Self::plan_query_with`], including the LRU stamp
-    /// and the price refresh), or reports what completion work the node
-    /// needs from the batch.
-    ///
-    /// `fingerprint` is the round's shared planning fingerprint — a pure
-    /// function of the query, derived once per round instead of once per
-    /// node and adopted into this manager's memo scratch verbatim.
-    fn batch_classify(
-        &self,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        fingerprint: &[u64],
-        now: SimTime,
-    ) -> Result<Money, (BatchNeed, EnumerationOptions, u64)> {
-        let opts = self.config.enumeration(self.arrival_rate());
-        if !self.config.plan_cache {
-            return Err((BatchNeed::Unmemoized, opts, 0));
-        }
-        let epoch = self.cache.epoch(now);
-        let mut pc = self.plancache.borrow_mut();
-        pc.adopt_fingerprint(fingerprint);
-        if let Some(slot) = pc.matching_slot(query.template.0) {
-            if slot.completion_current(epoch, &opts) {
-                let refreshed = !slot.prices_current(&self.cache, now, &opts);
-                if refreshed {
-                    slot.refresh_prices(&self.cache, now, opts, |s, span| {
-                        ctx.estimator.maintenance(s, span)
-                    });
-                }
-                let payment = self.select_payment_from(query, &slot.plans);
-                pc.count_hit(refreshed);
-                return Ok(payment);
-            }
-            return Err((BatchNeed::Completion, opts, epoch));
-        }
-        pc.count_miss();
-        Err((BatchNeed::Miss, opts, epoch))
-    }
-
-    /// Phase 3 of a batched quote round: adopts the batch-completed plan
-    /// set sitting in this manager's plan buffer — memoizing, selecting
-    /// and recycling exactly as the sequential
-    /// [`Self::plan_query_with`] would have after its own
-    /// `complete_plans_into` call — and returns the bid.
-    fn batch_adopt(
-        &self,
-        need: BatchNeed,
-        opts: EnumerationOptions,
-        epoch: u64,
-        skel: &Arc<PlanSkeleton>,
-        query: &Query,
-        now: SimTime,
-    ) -> Money {
-        match need {
-            BatchNeed::Unmemoized => {
-                let mut buf = self.planbuf.borrow_mut();
-                let plans = buf.take();
-                let payment = self.select_payment_from(query, &plans);
-                buf.recycle(plans);
-                payment
-            }
-            BatchNeed::Completion => {
-                let mut pc = self.plancache.borrow_mut();
-                let slot = pc
-                    .rematch_slot(query.template.0)
-                    .expect("classified slot vanished between batch phases");
-                slot.skeleton.get_or_insert_with(|| Arc::clone(skel));
-                let mut buf = self.planbuf.borrow_mut();
-                let plans = buf.take();
-                let missing_builds = buf.take_missing_costs();
-                let (old_plans, old_costs) = slot.replace_completion(
-                    epoch,
-                    self.cache.settle_seq(),
-                    opts,
-                    now,
-                    plans,
-                    missing_builds,
-                );
-                buf.recycle(old_plans);
-                buf.recycle_missing_costs(old_costs);
-                drop(buf);
-                let payment = self.select_payment_from(query, &slot.plans);
-                pc.count_completion();
-                payment
-            }
-            BatchNeed::Miss => {
-                let mut buf = self.planbuf.borrow_mut();
-                let plans = buf.take();
-                let missing_builds = buf.take_missing_costs();
-                let payment = self.select_payment_from(query, &plans);
-                let settle_seq = self.cache.settle_seq();
-                let mut pc = self.plancache.borrow_mut();
-                if let Some((old_plans, old_costs)) = pc.install_slot(
-                    query.template.0,
-                    Some(Arc::clone(skel)),
-                    epoch,
-                    settle_seq,
-                    opts,
-                    now,
-                    plans,
-                    missing_builds,
-                ) {
-                    buf.recycle(old_plans);
-                    buf.recycle_missing_costs(old_costs);
-                }
-                payment
-            }
-        }
-    }
-
     /// Builds every structure the investment rule triggers, most regretted
     /// first, re-checking funds as the balance drains.
     fn consider_investments(
@@ -874,148 +762,6 @@ impl EconomyManager {
                 (cost, time, 0)
             }
         }
-    }
-}
-
-/// What a batched quote round still owes a node after classification.
-#[derive(Debug, Clone, Copy)]
-enum BatchNeed {
-    /// Plan memoization disabled: complete, select, recycle.
-    Unmemoized,
-    /// Memoized skeleton with a stale completion: re-complete into the
-    /// slot.
-    Completion,
-    /// Fresh fingerprint: complete and install a new slot.
-    Miss,
-}
-
-/// One batch member: a node whose bid needs the shared completion pass.
-#[derive(Debug, Clone, Copy)]
-struct BatchMember {
-    /// Caller-side node index.
-    node: usize,
-    need: BatchNeed,
-    opts: EnumerationOptions,
-    epoch: u64,
-}
-
-/// Reusable workspace for **batched quote rounds** — the structure-major
-/// inversion of the fleet's per-node quote fan-out.
-///
-/// A round classifies every node first ([`EconomyManager::batch_classify`]
-/// serves memo hits immediately), then runs *one*
-/// [`BatchCompleter::gather`] pass over the caches of every node that
-/// still needs completion, and finally adopts each node's emitted plan
-/// set into its own plan memo. Every phase mirrors the sequential
-/// [`EconomyManager::quote_with_skeleton`] exactly — same bids, same memo
-/// state (including LRU stamps), same counters — so routing decisions are
-/// bit-identical whichever path a fleet uses; `tests/batch_completion.rs`
-/// pins it.
-///
-/// The bulk scratch (completer lanes, member list, bid vector, shared
-/// fingerprint) is retained across rounds, so quote rounds are
-/// allocation-free after warmup.
-#[derive(Debug, Default)]
-pub struct QuoteBatch {
-    completer: BatchCompleter,
-    members: Vec<BatchMember>,
-    bids: Vec<Money>,
-    /// Round-shared planning fingerprint scratch: derived once per round
-    /// from the query and adopted by every classified node, instead of
-    /// each node re-deriving the identical word vector.
-    fingerprint: Vec<u64>,
-}
-
-impl QuoteBatch {
-    /// An empty workspace.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Quotes one round of `count` nodes' bids for `query` at `now`.
-    ///
-    /// `manager_of(i)` returns node `i`'s economy manager when its quotes
-    /// factor through batched completion (`None` falls back to
-    /// `fallback(i)`, which must produce the node's bid some other way).
-    /// Both closures must be stable for the duration of the call, every
-    /// returned manager must be distinct, and `skeleton` is the round's
-    /// shared lazy skeleton — built at most once, only if some node
-    /// actually needs completion.
-    ///
-    /// Returns the bids, indexed by node.
-    ///
-    /// # Panics
-    /// Panics if a classified node's memo slot disappears between phases
-    /// (the closures were not stable).
-    #[allow(clippy::too_many_arguments)] // one parameter per round input
-    pub fn quote_round<'m, M, F>(
-        &mut self,
-        count: usize,
-        manager_of: M,
-        fallback: F,
-        ctx: &PlannerContext<'_>,
-        query: &Query,
-        skeleton: &LazySkeleton<'_>,
-        now: SimTime,
-    ) -> &[Money]
-    where
-        M: Fn(usize) -> Option<&'m EconomyManager>,
-        F: Fn(usize) -> Money,
-    {
-        self.bids.clear();
-        self.bids.resize(count, Money::ZERO);
-        self.members.clear();
-        planner::planning_fingerprint(query, &mut self.fingerprint);
-        for i in 0..count {
-            match manager_of(i) {
-                None => self.bids[i] = fallback(i),
-                Some(m) => match m.batch_classify(ctx, query, &self.fingerprint, now) {
-                    Ok(bid) => self.bids[i] = bid,
-                    Err((need, opts, epoch)) => self.members.push(BatchMember {
-                        node: i,
-                        need,
-                        opts,
-                        epoch,
-                    }),
-                },
-            }
-        }
-
-        if !self.members.is_empty() {
-            let skel = Arc::clone(skeleton.get());
-            // The node-major probe sweep binds each member's view once
-            // per node (not once per probe), so the round resolves
-            // managers straight through the caller's lookup instead of
-            // materialising a resolved vector — quote rounds are
-            // allocation-free after warmup.
-            let members = &self.members;
-            let completer = &mut self.completer;
-            let member_manager = |j: usize| {
-                manager_of(members[j].node).expect("batch member manager vanished between phases")
-            };
-            completer.gather(
-                &skel,
-                members.len(),
-                |j| CacheView {
-                    cache: member_manager(j).cache(),
-                    opts: members[j].opts,
-                },
-                now,
-                |s, span| ctx.estimator.maintenance(s, span),
-            );
-            for (j, member) in self.members.iter().enumerate() {
-                let m =
-                    manager_of(member.node).expect("batch member manager vanished between phases");
-                {
-                    let mut buf = m.planbuf.borrow_mut();
-                    self.completer.emit_into(&skel, j, &mut buf);
-                }
-                self.bids[member.node] =
-                    m.batch_adopt(member.need, member.opts, member.epoch, &skel, query, now);
-            }
-        }
-        &self.bids
     }
 }
 

@@ -25,9 +25,7 @@
 //!   deposits (query payments) and withdrawals (investments).
 //! * [`maintenance`] — structure-failure policy (footnote 3).
 //! * [`economy`] — [`economy::EconomyManager`], the per-query control loop
-//!   gluing all of the above to the planner and the cache, plus
-//!   [`economy::QuoteBatch`], the batched structure-major quote round a
-//!   fleet's routers fan out over competing managers.
+//!   gluing all of the above to the planner and the cache.
 //! * [`plancache`] — memoized planning: 2-way-associative per-template
 //!   slots caching the cache-independent plan skeleton plus its latest
 //!   per-node completion, bit-identical to fresh enumeration (the
@@ -53,7 +51,7 @@ pub use account::CloudAccount;
 pub use amortize::AmortizationPolicy;
 pub use budget::{BudgetFunction, BudgetShape};
 pub use config::EconConfig;
-pub use economy::{EconomyManager, QuoteBatch};
+pub use economy::EconomyManager;
 pub use invest::InvestmentRule;
 pub use outcome::{QueryOutcome, SelectionCase};
 pub use plancache::{PlanCache, PlanCacheStats};

@@ -204,15 +204,6 @@ impl PlanCache {
         planner::planning_fingerprint(query, &mut self.fingerprint_scratch);
     }
 
-    /// Adopts an already-derived planning fingerprint into the scratch —
-    /// the batched quote round derives the word vector once per round
-    /// (it is a pure function of the query) and every classified node
-    /// copies it instead of re-walking the query.
-    pub(crate) fn adopt_fingerprint(&mut self, fingerprint: &[u64]) {
-        self.fingerprint_scratch.clear();
-        self.fingerprint_scratch.extend_from_slice(fingerprint);
-    }
-
     /// The memoized slot for `template` whose fingerprint matches the
     /// prepared scratch, refreshing its LRU stamp. A set miss probes the
     /// victim cache; a victim hit swaps the slot back into the set (the
@@ -253,19 +244,6 @@ impl PlanCache {
         let slot = self.sets[template][way].as_mut().expect("way just matched");
         slot.stamp = self.tick;
         Some(slot)
-    }
-
-    /// Re-finds the slot a previous [`Self::matching_slot`] call already
-    /// matched under the still-prepared fingerprint, *without* touching
-    /// the LRU tick. Batched quote rounds classify every node first and
-    /// adopt the batch-completed plan sets in a later phase; bumping the
-    /// stamp twice per lookup would diverge from the sequential path's
-    /// replacement order. No victim probe here: the classify-phase match
-    /// already promoted any victim hit into the set.
-    pub(crate) fn rematch_slot(&mut self, template: usize) -> Option<&mut Slot> {
-        let fp = &self.fingerprint_scratch;
-        let set = self.sets.get_mut(template)?;
-        set.iter_mut().flatten().find(|s| s.fingerprint == *fp)
     }
 
     /// Memoizes a fresh skeleton + completion for `template` under the

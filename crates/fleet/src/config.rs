@@ -14,11 +14,6 @@ use crate::node::NodeSpec;
 use crate::router::RouterKind;
 use crate::tenant::{TenantId, TenantSpec};
 
-/// Serde default for switches that ship enabled.
-fn default_true() -> bool {
-    true
-}
-
 /// Full description of one fleet simulation.
 ///
 /// Tenants are partitioned into `cells` (tenant `id % cells`); each cell
@@ -41,29 +36,6 @@ pub struct FleetConfig {
     pub cells: usize,
     /// Worker threads executing cells (affects wall-clock only).
     pub shards: usize,
-    /// Worker threads a cheapest-quote round fans per-node bids out over
-    /// (affects wall-clock only: the deterministic merge makes routing
-    /// bit-identical at any pool size). The workers live in a
-    /// **persistent** per-cell pool, spawned once and parked between
-    /// rounds. The executor additionally clamps the pool so
-    /// `shards × quote_threads` never oversubscribes the machine
-    /// (see [`crate::exec::effective_quote_threads`]) — a pool that
-    /// cannot actually run in parallel only adds wake-up cost per round.
-    pub quote_threads: usize,
-    /// Quote rounds complete the economic nodes' plans in one batched
-    /// structure-major sweep instead of once per node (bit-identical
-    /// results either way; `false` selects the per-node reference path
-    /// the `fleet_scale` self-check compares against).
-    pub quote_batching: bool,
-    /// Pin quote-pool workers to cores (`sched_setaffinity`): each
-    /// worker is sticky on the same node chunk every round, so pinning
-    /// keeps those node states resident in one core's private cache. A
-    /// placement hint only — results are bit-identical with pinning on,
-    /// off, or unavailable (non-Linux, restrictive cpuset); the
-    /// `fleet_scale` sweep runs both settings through its invariance
-    /// check. Defaults on (including for older serialized configs).
-    #[serde(default = "default_true")]
-    pub pin_quote_workers: bool,
     /// Cost-model calibration.
     pub cost_params: CostParams,
     /// Resource prices.
@@ -134,9 +106,6 @@ impl FleetConfig {
             router: RouterKind::CheapestQuote,
             cells: 8,
             shards: 1,
-            quote_threads: 1,
-            quote_batching: true,
-            pin_quote_workers: true,
             cost_params: CostParams::default(),
             prices: PriceCatalog::ec2_2009(),
             econ,
@@ -241,9 +210,6 @@ impl FleetConfig {
         if self.shards == 0 {
             return Err("shards must be positive".into());
         }
-        if self.quote_threads == 0 {
-            return Err("quote_threads must be positive".into());
-        }
         if self.candidate_indexes == 0 {
             return Err("candidate_indexes must be positive".into());
         }
@@ -334,23 +300,24 @@ mod tests {
         let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
         c.tenants[2].queries = 0;
         assert!(c.validate().is_err());
-
-        let mut c = FleetConfig::uniform(4, 2, 10, 1.0);
-        c.quote_threads = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]
-    fn pin_flag_defaults_on_for_older_configs() {
+    fn configs_with_retired_quote_fields_still_load() {
         use serde::{Deserialize, Serialize, Value};
         let c = FleetConfig::uniform(2, 2, 5, 1.0);
-        let mut v = c.serialize();
-        match &mut v {
-            Value::Map(m) => m.retain(|(k, _)| k != "pin_quote_workers"),
+        let current = c.serialize();
+        let mut older = current.clone();
+        match &mut older {
+            Value::Map(m) => m.extend([
+                ("quote_threads".to_string(), Value::Int(4)),
+                ("quote_batching".to_string(), Value::Bool(false)),
+                ("pin_quote_workers".to_string(), Value::Bool(true)),
+            ]),
             other => panic!("config serializes as a map, got {other:?}"),
         }
-        let back = FleetConfig::deserialize(&v).unwrap();
-        assert!(back.pin_quote_workers, "absent field means pinning on");
+        let back = FleetConfig::deserialize(&older).unwrap();
+        assert_eq!(back.serialize(), current, "retired fields are ignored");
     }
 
     #[test]

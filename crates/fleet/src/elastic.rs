@@ -30,9 +30,9 @@
 //! review instants derive from the arrival stream alone, and every
 //! decision is recorded in an explainable [`LedgerEntry`] (signal values
 //! → rule fired → action). A run therefore remains a pure function of
-//! its config: replaying the same seed at 1 vs N executor shards, any
-//! quote-pool size, and either completion path must produce bit-identical
-//! decision ledgers and aggregates — the `fleet_elastic` bench and
+//! its config: replaying the same seed at 1 vs N executor shards must
+//! produce bit-identical decision ledgers and aggregates — the
+//! `fleet_elastic` bench and
 //! `tests/fleet_elastic.rs` pin this.
 
 use std::sync::Arc;

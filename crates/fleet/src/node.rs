@@ -30,8 +30,8 @@ impl NodeSpec {
 
 /// One live cache node: policy + accounting + backlog clock.
 ///
-/// `Send` (the policy box is `Send`-bounded), so a quote round can hand
-/// disjoint `&mut` node chunks to the persistent pool's workers.
+/// `Send` (the policy box is `Send`-bounded), so a node can live on
+/// whichever worker thread executes its cell.
 pub struct CacheNode {
     id: usize,
     policy: Box<dyn CachePolicy + Send>,
@@ -248,10 +248,9 @@ impl CacheNode {
         self.policy.quote_with_skeleton(ctx, query, skeleton, now)
     }
 
-    /// The economy manager backing this node's policy, when its quotes
-    /// factor through batched completion (see
-    /// [`CachePolicy::economy`]); `None` for non-economic schemes,
-    /// which quote rounds bill individually.
+    /// The economy manager backing this node's policy (see
+    /// [`CachePolicy::economy`]); `None` for non-economic schemes. Quote
+    /// rounds read it to recognise cold nodes.
     #[must_use]
     pub fn economy(&self) -> Option<&econ::EconomyManager> {
         self.policy.economy()

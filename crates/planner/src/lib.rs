@@ -20,10 +20,6 @@
 //!   fleet quote round plans each query once instead of once per node;
 //!   [`SkeletonCache`] shares built skeletons fleet-wide under the
 //!   query's planning fingerprint.
-//! * [`batch`] — structure-major batched completion: one
-//!   [`BatchCompleter`] pass binds a skeleton against N nodes' cache
-//!   states at once, turning N independent cache probes per structure
-//!   into dense sweeps (bit-identical to N per-node completions).
 //! * [`soa`] — struct-of-arrays projection of the selection-hot plan
 //!   fields (time, price, existing flag).
 //! * [`skyline`] — keeps only the (time, price)-Pareto plans, as the
@@ -32,7 +28,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod candidates;
 pub mod enumerate;
 pub mod estimator;
@@ -42,7 +37,6 @@ pub mod skeleton;
 pub mod skyline;
 pub mod soa;
 
-pub use batch::{complete_plans_batch, BatchCompleter, CacheView};
 pub use candidates::{generate_candidates, CandidateIndex, TableCandidate};
 pub use enumerate::{
     enumerate_plans, enumerate_plans_into, EnumerationOptions, PlanBuffer, PlannerContext,

@@ -161,99 +161,6 @@ pub struct VariantSkeleton {
     pub cells: ExecCells,
 }
 
-/// The deduplicated cache-probe table of a skeleton: the union of every
-/// variant's `uses` plus index key-fetch columns, with per-variant
-/// position maps back into it.
-///
-/// A pure function of the variants, computed once in
-/// [`PlanSkeleton::build`] — skeletons are memoized (the shared
-/// [`SkeletonCache`], the economy's plan memo), so batched completion
-/// rounds ([`planner::batch`](crate::batch)) read the table for free
-/// instead of re-deduplicating every round.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProbeTable {
-    /// Distinct structures, first-seen order: each is probed once per
-    /// node per gather, however many variants reference it.
-    pub keys: Vec<StructureKey>,
-    /// Per entry of `keys`: whether some variant *uses* the structure
-    /// (amortisation/maintenance lanes needed) or it is referenced only
-    /// for key-fetch presence.
-    pub priced: Vec<bool>,
-    /// Flat per-variant maps of `uses` position → index into `keys`;
-    /// variant `vi` owns `uses_map[uses_off[vi]..uses_off[vi + 1]]`.
-    uses_map: Vec<u32>,
-    /// Variant offsets into `uses_map` (and, position-wise, `key_off`).
-    uses_off: Vec<u32>,
-    /// Flat key-fetch resolutions `(in_variant, index into keys)` of
-    /// every index build, in variant-then-position order. `in_variant`
-    /// is the node-independent half of the coverage rule: a variant-used
-    /// key column is either present or built alongside the index, so it
-    /// is never fetched standalone.
-    key_map: Vec<(bool, u32)>,
-    /// Per global `uses` position (`uses_off[vi] + pos`): offsets into
-    /// `key_map` — an empty span for column builds.
-    key_off: Vec<u32>,
-}
-
-impl ProbeTable {
-    /// Variant `vi`'s `uses` position → probe-table index map.
-    #[must_use]
-    pub fn uses_probe(&self, vi: usize) -> &[u32] {
-        &self.uses_map[self.uses_off[vi] as usize..self.uses_off[vi + 1] as usize]
-    }
-
-    /// Variant `vi`'s position-`pos` index build, resolved per key
-    /// column to `(in_variant, probe-table index)` — empty for column
-    /// builds.
-    #[must_use]
-    pub fn key_probe(&self, vi: usize, pos: usize) -> &[(bool, u32)] {
-        let g = self.uses_off[vi] as usize + pos;
-        &self.key_map[self.key_off[g] as usize..self.key_off[g + 1] as usize]
-    }
-
-    fn build(variants: &[VariantSkeleton]) -> ProbeTable {
-        let mut t = ProbeTable::default();
-        t.uses_off.push(0);
-        t.key_off.push(0);
-        for variant in variants {
-            for &key in &variant.uses {
-                let u = match t.keys.iter().position(|&k| k == key) {
-                    Some(u) => {
-                        t.priced[u] = true;
-                        u
-                    }
-                    None => {
-                        t.keys.push(key);
-                        t.priced.push(true);
-                        t.keys.len() - 1
-                    }
-                };
-                t.uses_map.push(u as u32);
-            }
-            t.uses_off.push(t.uses_map.len() as u32);
-            for build in &variant.builds {
-                if let BuildShape::Index { keys, .. } = build {
-                    for kf in keys {
-                        let col = StructureKey::Column(kf.column);
-                        let in_variant = variant.uses.contains(&col);
-                        let u = match t.keys.iter().position(|&k| k == col) {
-                            Some(u) => u,
-                            None => {
-                                t.keys.push(col);
-                                t.priced.push(false);
-                                t.keys.len() - 1
-                            }
-                        };
-                        t.key_map.push((in_variant, u as u32));
-                    }
-                }
-                t.key_off.push(t.key_map.len() as u32);
-            }
-        }
-        t
-    }
-}
-
 /// Everything about a query's plan set that does not depend on any node's
 /// cache state — computed once per query, shared across every node that
 /// bids on it.
@@ -272,8 +179,6 @@ pub struct PlanSkeleton {
     /// Index variants: scan-only first, then the best-index variant when
     /// one exists.
     pub variants: Vec<VariantSkeleton>,
-    /// The variants' deduplicated probe table, for batched completion.
-    pub probe: ProbeTable,
 }
 
 /// A [`PlanSkeleton`] built on first use and shared from then on.
@@ -281,14 +186,12 @@ pub struct PlanSkeleton {
 /// A quote round hands every bidding node one of these; in the
 /// prepared-statement regime where every node's plan cache fully hits,
 /// nobody calls [`Self::get`] and the round pays nothing for a skeleton
-/// it never reads. The cell is thread-safe, so workers of a parallel
-/// fan-out race benignly (the build is a pure function — every winner
-/// produces identical bits).
+/// it never reads.
 pub struct LazySkeleton<'a> {
     ctx: PlannerContext<'a>,
     query: &'a Query,
     shared: Option<&'a SkeletonCache>,
-    cell: std::sync::OnceLock<Arc<PlanSkeleton>>,
+    cell: std::cell::OnceCell<Arc<PlanSkeleton>>,
 }
 
 impl<'a> LazySkeleton<'a> {
@@ -299,7 +202,7 @@ impl<'a> LazySkeleton<'a> {
             ctx: *ctx,
             query,
             shared: None,
-            cell: std::sync::OnceLock::new(),
+            cell: std::cell::OnceCell::new(),
         }
     }
 
@@ -317,7 +220,7 @@ impl<'a> LazySkeleton<'a> {
             ctx: *ctx,
             query,
             shared: Some(shared),
-            cell: std::sync::OnceLock::new(),
+            cell: std::cell::OnceCell::new(),
         }
     }
 
@@ -515,7 +418,6 @@ impl PlanSkeleton {
             variants.push(build_variant(ctx, query, &picks));
         }
 
-        let probe = ProbeTable::build(&variants);
         PlanSkeleton {
             backend_time: backend_est.time,
             backend_cost,
@@ -523,7 +425,6 @@ impl PlanSkeleton {
             node_build_cost,
             node_build_time,
             variants,
-            probe,
         }
     }
 }

@@ -81,13 +81,11 @@ pub trait CachePolicy {
         self.quote(ctx, query, now)
     }
 
-    /// The economy manager backing this policy's quotes, when its
-    /// planning factors through batched structure-major completion
-    /// (`econ::QuoteBatch`). A fleet quote round batches the per-node
-    /// completion sweeps of every node that returns `Some`; nodes
-    /// returning `None` (the default) are quoted individually through
-    /// [`Self::quote_with_skeleton`]. Either path must produce identical
-    /// bids.
+    /// The economy manager backing this policy's quotes, for the
+    /// economic schemes; `None` (the default) for every other policy. A
+    /// fleet quote round reads it to find cold nodes (economic, empty
+    /// cache) whose bids it can share, and the elastic and fault planes
+    /// read the regret, cache and ledgers it holds.
     fn economy(&self) -> Option<&econ::EconomyManager> {
         None
     }

@@ -29,8 +29,8 @@ use crate::step::RunAccumulator;
 /// economy configuration (ignored by the bypass scheme).
 ///
 /// Shared by [`Simulation`] and the fleet executor, which builds one
-/// policy per cache node. The box is `Send` so fleet quote rounds can
-/// fan per-node completions out over the persistent quote worker pool.
+/// policy per cache node. The box is `Send`, so a policy can be built
+/// and run on whichever worker thread executes its fleet cell.
 #[must_use]
 pub fn make_policy(
     scheme: &Scheme,

@@ -66,7 +66,7 @@ pub struct QuoteRoundEvent {
     #[serde(default)]
     pub quoted: usize,
     /// Plan-cache activity during the round (skeleton reuse across the
-    /// fan-out shows up as completions).
+    /// quoted nodes shows up as completions).
     pub plan_cache: PlanCacheDelta,
 }
 

@@ -5,11 +5,7 @@
 //! 2. fleet aggregates are invariant under the shard (worker-thread)
 //!    count: 1 worker and 4 workers produce bit-identical cost and mean
 //!    response time;
-//! 3. cheapest-quote aggregates are invariant under the quote fan-out
-//!    worker-pool size: gathering per-node bids from 1, 2, 4 or 8
-//!    threads picks bit-identical winners (the deterministic merge of
-//!    `fleet::router::CheapestQuote`);
-//! 4. a cheapest-quote round that prices each distinct cold node state
+//! 3. a cheapest-quote round that prices each distinct cold node state
 //!    once picks the winner and bid of an exhaustive scan that quotes
 //!    every routable node.
 
@@ -19,8 +15,7 @@ use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{BudgetShape, EconConfig, InvestmentRule};
 use cloudcache::fleet::{
-    run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, QuoteOptions, Router,
-    RouterKind,
+    run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, Router, RouterKind,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -48,10 +43,6 @@ impl Harness {
             cand_index: &self.cand_index,
             estimator: &self.estimator,
         }
-    }
-
-    fn queries(&self, seed: u64) -> WorkloadGenerator {
-        WorkloadGenerator::new(Arc::clone(&self.schema), WorkloadConfig::default(), seed)
     }
 }
 
@@ -199,111 +190,11 @@ fn aggregates_invariant_under_shard_count() {
 }
 
 #[test]
-fn aggregates_invariant_under_quote_thread_count() {
-    // 8 nodes so the pool actually splits work; shards stay at 1 so only
-    // the quote fan-out knob moves.
-    let run = |threads: usize| {
-        let mut c = FleetConfig::mixed(10, 8, 60);
-        c.scale_factor = 10.0;
-        c.cells = 5;
-        c.shards = 1;
-        c.router = RouterKind::CheapestQuote;
-        c.seed = 23;
-        c.quote_threads = threads;
-        run_fleet(c)
-    };
-    let sequential = run(1);
-    for threads in [2, 4, 8] {
-        let pooled = run(threads);
-        assert_eq!(
-            fingerprint(&sequential),
-            fingerprint(&pooled),
-            "aggregates varied at quote_threads={threads}"
-        );
-    }
-}
-
-#[test]
 fn oversubscribed_shards_are_harmless() {
     // More workers than cells clamps to the cell count.
     let few = run_fleet(config(RouterKind::LeastOutstanding, 2, 9));
     let many = run_fleet(config(RouterKind::LeastOutstanding, 64, 9));
     assert_eq!(fingerprint(&few), fingerprint(&many));
-}
-
-/// The persistent quote pool picks the sequential scan's winner on every
-/// round of its lifetime — not just the first — at every pool size and
-/// under both completion paths.
-///
-/// The executor clamps pools to the machine's spare parallelism, so this
-/// test drives [`CheapestQuote`] directly: replica fleets (one per
-/// router configuration) see the same query stream, every router routes
-/// its own replica, the winner serves, and the chosen index must agree
-/// with the sequential batched reference on every one of 60 consecutive
-/// rounds — pool reuse across rounds with genuinely evolving node
-/// state, exactly what the scoped-spawn → persistent-pool change must
-/// not perturb.
-#[test]
-fn persistent_pool_winner_matches_sequential_across_rounds() {
-    let h = harness();
-    let ctx = h.ctx();
-    let econ = biting_econ();
-    let build_fleet = || -> Vec<CacheNode> {
-        (0..8)
-            .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &h.schema, &econ))
-            .collect()
-    };
-
-    // (threads, batching, pinning): sequential batched is the reference;
-    // pools of 2/4/8 workers, the per-node completion path, and
-    // core-pinned pools must all agree — pinning is a placement hint, so
-    // the winner sequence cannot move with it (or with whether the pins
-    // actually took on this machine).
-    let configs = [
-        (1usize, true, false),
-        (2, true, false),
-        (4, true, true),
-        (8, true, false),
-        (8, true, true),
-        (1, false, false),
-        (8, false, true),
-    ];
-    let mut routers: Vec<CheapestQuote> = configs
-        .iter()
-        .map(|&(threads, batching, pinning)| {
-            CheapestQuote::with_options(QuoteOptions {
-                threads,
-                batching,
-                skeletons: None,
-                pinning,
-            })
-        })
-        .collect();
-    let mut fleets: Vec<Vec<CacheNode>> = configs.iter().map(|_| build_fleet()).collect();
-
-    let mut gen = h.queries(77);
-    for round in 0..60 {
-        let query = gen.next_query();
-        let now = SimTime::from_secs((round + 1) as f64);
-        let mut winners = Vec::with_capacity(configs.len());
-        for (router, nodes) in routers.iter_mut().zip(&mut fleets) {
-            for node in nodes.iter_mut() {
-                node.accrue(now);
-            }
-            winners.push(router.route(nodes, &ctx, &query, now));
-        }
-        for (i, &winner) in winners.iter().enumerate() {
-            assert_eq!(
-                winner, winners[0],
-                "round {round}: config {:?} disagreed with the sequential reference",
-                configs[i]
-            );
-        }
-        // The winner serves, so later rounds quote against evolved state.
-        for (nodes, &winner) in fleets.iter_mut().zip(&winners) {
-            let _ = nodes[winner].serve(&ctx, &query, now);
-        }
-    }
 }
 
 /// The exhaustive reference: every routable node quotes through
@@ -424,14 +315,13 @@ fn replica(plans: &[NodePlan], pool: &[Query], ctx: &PlannerContext<'_>) -> Vec<
         .collect()
 }
 
-/// Routes one round per entry of `gaps` through every cheapest-quote
-/// configuration — sequential and pooled, batched and per-node — each
-/// on its own replica of the history in `plans`, and asserts each
-/// round's winner and bid equal the exhaustive scan's on a further
-/// replica. The winner serves in every replica, so state keeps
-/// evolving mid-run; suppressed nodes return halfway. Budgets range
-/// from half to twice the backend price: below it Case A bills the
-/// cheapest existing plan, above it the budget shape sets the bid.
+/// Routes one round per entry of `gaps` through cheapest-quote routing
+/// on a replica of the history in `plans`, and asserts each round's
+/// winner and bid equal the exhaustive scan's on a second replica. The
+/// winner serves in both replicas, so state keeps evolving mid-run;
+/// suppressed nodes return halfway. Budgets range from half to twice
+/// the backend price: below it Case A bills the cheapest existing plan,
+/// above it the budget shape sets the bid.
 fn route_against_exhaustive(seed: u64, plans: &[NodePlan], gaps: &[u8]) {
     let h = harness();
     let ctx = h.ctx();
@@ -442,23 +332,9 @@ fn route_against_exhaustive(seed: u64, plans: &[NodePlan], gaps: &[u8]) {
     let pool: Vec<Query> = WorkloadGenerator::new(Arc::clone(&h.schema), workload, seed)
         .take(ROUTED_FROM + gaps.len())
         .collect();
-    let configs = [(1usize, true), (1, false), (4, true), (4, false)];
-    let mut routers: Vec<CheapestQuote> = configs
-        .iter()
-        .map(|&(threads, batching)| {
-            CheapestQuote::with_options(QuoteOptions {
-                threads,
-                batching,
-                skeletons: None,
-                pinning: false,
-            })
-        })
-        .collect();
+    let mut router = CheapestQuote::default();
     let mut reference = replica(plans, &pool, &ctx);
-    let mut fleets: Vec<Vec<CacheNode>> = configs
-        .iter()
-        .map(|_| replica(plans, &pool, &ctx))
-        .collect();
+    let mut routed = replica(plans, &pool, &ctx);
 
     let mut now = SimTime::from_secs(ROUTING_STARTS);
     for (round, &gap) in gaps.iter().enumerate() {
@@ -468,30 +344,24 @@ fn route_against_exhaustive(seed: u64, plans: &[NodePlan], gaps: &[u8]) {
             _ => 30.0,
         });
         if round == gaps.len() / 2 {
-            for nodes in fleets.iter_mut().chain([&mut reference]) {
-                for node in nodes.iter_mut() {
-                    node.unsuppress_route();
-                }
+            for node in routed.iter_mut().chain(&mut reference) {
+                node.unsuppress_route();
             }
         }
-        for nodes in fleets.iter_mut().chain([&mut reference]) {
-            for node in nodes.iter_mut() {
-                node.accrue(now);
-            }
+        for node in routed.iter_mut().chain(&mut reference) {
+            node.accrue(now);
         }
         let query = &pool[ROUTED_FROM + round];
         let Some((winner, bid)) = exhaustive_scan(&reference, &ctx, query, now) else {
             continue; // every node draining, booting or suppressed
         };
-        for ((router, nodes), config) in routers.iter_mut().zip(&mut fleets).zip(&configs) {
-            let chosen = router.route(nodes, &ctx, query, now);
-            assert_eq!(
-                (chosen, router.last_winning_quote()),
-                (winner, Some(bid)),
-                "round {round} under {config:?} for {plans:?}"
-            );
-        }
-        for nodes in fleets.iter_mut().chain([&mut reference]) {
+        let chosen = router.route(&routed, &ctx, query, now);
+        assert_eq!(
+            (chosen, router.last_winning_quote()),
+            (winner, Some(bid)),
+            "round {round} for {plans:?}"
+        );
+        for nodes in [&mut routed, &mut reference] {
             let _ = nodes[winner].serve(&ctx, query, now);
         }
     }

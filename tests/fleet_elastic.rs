@@ -1,18 +1,17 @@
 //! Elastic control plane — the acceptance properties of `fleet::elastic`:
 //!
 //! 1. **Drain isolation** — no query is ever routed to a node after its
-//!    drain begins, under every routing strategy, pool size and
-//!    completion path (proptest over random drain schedules).
-//!    `CacheNode::serve` additionally debug-asserts routability, so the
-//!    end-to-end runs below double-check the executor path.
+//!    drain begins, under every routing strategy (proptest over random
+//!    drain schedules). `CacheNode::serve` additionally debug-asserts
+//!    routability, so the end-to-end runs below double-check the
+//!    executor path.
 //! 2. **Occupancy settlement (eq. 13)** — retiring a node settles its
 //!    disk byte-seconds integral to the exact retirement instant:
 //!    delaying retirement by Δ charges precisely
 //!    `disk_used × Δ × c_d` more (and Δ seconds more base uptime).
 //! 3. **Determinism** — an elastic run's decision ledger and aggregates
-//!    are bit-identical across executor shard counts, quote-pool sizes
-//!    and completion paths; a controller that can never act leaves the
-//!    economy bit-identical to the static fleet.
+//!    are bit-identical across executor shard counts; a controller that
+//!    can never act leaves the economy bit-identical to the static fleet.
 
 use std::sync::{Arc, OnceLock};
 
@@ -21,7 +20,7 @@ use cloudcache::catalog::Schema;
 use cloudcache::econ::{EconConfig, InvestmentRule};
 use cloudcache::fleet::{
     run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetResult, LeastOutstanding,
-    NodePopulation, NodeSpec, QuoteOptions, RoundRobin, Router, RouterKind,
+    NodePopulation, NodeSpec, RoundRobin, Router, RouterKind,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -90,8 +89,6 @@ proptest! {
     #[test]
     fn no_query_is_routed_after_drain_begins(
         seed in 0u64..1_000,
-        threads in 1usize..5,
-        batching in prop::bool::ANY,
         drains in prop::collection::vec((0usize..12, 0usize..5), 1..6),
     ) {
         let h = harness();
@@ -100,12 +97,7 @@ proptest! {
         let mut nodes: Vec<CacheNode> = (0..5)
             .map(|i| CacheNode::new(i, &NodeSpec::new(Scheme::EconCheap), &h.schema, &econ))
             .collect();
-        let mut cq = CheapestQuote::with_options(QuoteOptions {
-            threads,
-            batching,
-            skeletons: None,
-            pinning: threads % 2 == 0, // placement hint; results invariant
-        });
+        let mut cq = CheapestQuote::default();
         let mut rr = RoundRobin::default();
         let mut lo = LeastOutstanding;
         let mut gen = WorkloadGenerator::new(Arc::clone(&h.schema), WorkloadConfig::default(), seed);
@@ -126,12 +118,12 @@ proptest! {
                 node.accrue(now);
             }
             let query = gen.next_query();
-            let winner = cq.route(&mut nodes, &ctx, &query, now);
+            let winner = cq.route(&nodes, &ctx, &query, now);
             prop_assert!(!drained[winner], "cheapest-quote routed to draining node {winner}");
             prop_assert!(nodes[winner].routable(now));
             for (name, choice) in [
-                ("round-robin", rr.route(&mut nodes, &ctx, &query, now)),
-                ("least-outstanding", lo.route(&mut nodes, &ctx, &query, now)),
+                ("round-robin", rr.route(&nodes, &ctx, &query, now)),
+                ("least-outstanding", lo.route(&nodes, &ctx, &query, now)),
             ] {
                 prop_assert!(!drained[choice], "{name} routed to draining node {choice}");
             }
@@ -250,7 +242,7 @@ fn elastic_fingerprint(r: &FleetResult) -> String {
 }
 
 #[test]
-fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
+fn elastic_ledger_and_aggregates_invariant_under_shards() {
     for seed in [3u64, 11] {
         let reference = run_fleet(elastic_base(seed));
         let summary = reference.elastic.as_ref().expect("elastic summary");
@@ -261,17 +253,14 @@ fn elastic_ledger_and_aggregates_invariant_under_shards_and_pools() {
         assert!(!summary.ledger.is_empty());
         let reference = elastic_fingerprint(&reference);
 
-        for (label, shards, quote_threads, batching) in [
-            ("shards=4", 4usize, 1usize, true),
-            ("pool=4", 1, 4, true),
-            ("shards=2,pool=2,per-node", 2, 2, false),
-        ] {
+        for shards in [4, 2] {
             let mut config = elastic_base(seed);
             config.shards = shards;
-            config.quote_threads = quote_threads;
-            config.quote_batching = batching;
             let replay = elastic_fingerprint(&run_fleet(config));
-            assert_eq!(replay, reference, "drift under {label} (seed {seed})");
+            assert_eq!(
+                replay, reference,
+                "drift under shards={shards} (seed {seed})"
+            );
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Fault-injection plane — the acceptance properties of `fleet::faults`:
 //!
-//! 1. **Crash isolation** — once a node crashes, no routing strategy,
-//!    quote-pool size or completion path ever routes a query to it again
-//!    (proptest over the router × pool × completion matrix).
+//! 1. **Crash isolation** — once a node crashes, no routing strategy
+//!    ever routes a query to it again (proptest over the routers).
 //! 2. **Determinism** — fault-injected runs (crashes, recoveries,
 //!    degradations, surges, timeouts) are bit-identical across executor
 //!    shard counts, and traced runs are bit-identical to untraced ones.
@@ -55,23 +54,19 @@ fn fault_fingerprint(r: &FleetResult) -> String {
 }
 
 proptest! {
-    /// Whatever router, pool size and completion path serve the fleet,
-    /// a crashed node never wins another quote round and never settles
-    /// another query after its crash instant.
+    /// Whatever router serves the fleet, a crashed node never wins
+    /// another quote round and never settles another query after its
+    /// crash instant.
     #[test]
     fn no_query_is_routed_to_a_crashed_node(
         victim in 0usize..3,
         crash_at_halves in 10u32..60, // t in [5, 30)
         router_pick in 0usize..3,
-        threads in 1usize..4,
-        batching in prop::bool::ANY,
     ) {
         let crash_at = f64::from(crash_at_halves) * 0.5;
         let mut config = faulted_base(11)
             .with_faults(FaultPlan::new(HORIZON).with_crash(victim, crash_at));
         config.router = [RouterKind::RoundRobin, RouterKind::LeastOutstanding, RouterKind::CheapestQuote][router_pick];
-        config.quote_threads = threads;
-        config.quote_batching = batching;
         let (result, trace) = FleetSim::new(config).run_traced();
 
         let faults = result.faults.as_ref().expect("fault summary present");
@@ -518,8 +513,7 @@ fn budgeted_retry_reroutes_and_records_one_latency_sample_per_query() {
 
 /// Satellite: the fault plane layers on stochastic arrival processes —
 /// MMPP storm/calm switching and the diurnal sinusoid — and stays
-/// bit-identical across executor shard counts, quote-pool sizes and
-/// completion paths.
+/// bit-identical across executor shard counts.
 #[test]
 fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
     let arrivals = [
@@ -547,16 +541,11 @@ fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
                 .with_timeout(0.05),
         );
         let reference = fault_fingerprint(&run_fleet(base.clone()));
-        for (shards, threads, batching) in [(2usize, 1usize, false), (4, 3, true), (8, 2, false)] {
+        for shards in [2, 4, 8] {
             let mut config = base.clone();
             config.shards = shards;
-            config.quote_threads = threads;
-            config.quote_batching = batching;
             let replay = fault_fingerprint(&run_fleet(config));
-            assert_eq!(
-                replay, reference,
-                "drift at shards={shards} threads={threads} batching={batching} ({arrival:?})"
-            );
+            assert_eq!(replay, reference, "drift at shards={shards} ({arrival:?})");
         }
     }
 }
