@@ -35,9 +35,8 @@
 //! breach count.
 //!
 //! At the default cell the run writes `BENCH_fleet_elastic.json`
-//! (best-of-reps q/s plus min/median spreads per cell, the merged
-//! traced-replay metrics registry and the fleet-wide skeleton-cache
-//! counters).
+//! (best-of-reps q/s plus min/median spreads per cell and the merged
+//! traced-replay metrics registry).
 //!
 //! Usage: `cargo run --release -p bench --bin fleet_elastic \
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
@@ -341,26 +340,14 @@ fn main() {
         let ec = elastic_config(nodes);
         let elastic_json = serde_json::to_string(&ec).expect("elastic config serializes");
         // The merged metrics-registry snapshot of the three traced
-        // elastic replays, plus the fleet-wide skeleton cache's counters
-        // (parity with fleet_scale). The skeleton counters are summed
-        // over every cell's sim and live *outside* the shard-invariance
-        // contract: concurrent cells race probes against the shared
-        // cache, so hit/miss splits depend on timing even though every
-        // economic aggregate does not.
-        let mut snapshot = traced_registry.clone();
-        for cell in &cells {
-            let skel = cell.sim.skeleton_cache_counters();
-            snapshot.counter_add("skeleton_cache.hits", skel.hits);
-            snapshot.counter_add("skeleton_cache.misses", skel.misses);
-            snapshot.counter_add("skeleton_cache.admissions", skel.admissions);
-        }
-        let registry_json = serde_json::to_string(&snapshot).expect("registry serializes");
+        // elastic replays.
+        let registry_json = serde_json::to_string(&traced_registry).expect("registry serializes");
         let config = format!(
             "{{\"scale_factor\": {sf}, \"queries_per_tenant\": {queries_per_tenant}, \
              \"tenants\": {tenants}, \"nodes\": {nodes}, \"router\": \"cheapest-quote\", \
              \"parallelism\": {parallelism}, \
              \"qps_note\": \"best of {reps} interleaved runs per cell; qps_min/qps_median record the rep spread\", \
-             \"registry_note\": \"merged traced-replay registry (3 elastic scenarios) + fleet-global skeleton_cache.* counters (wall-clock-dependent, excluded from the invariance contract)\", \
+             \"registry_note\": \"merged traced-replay registry (3 elastic scenarios)\", \
              \"registry\": {registry_json}, \
              \"elastic\": {elastic_json}}}"
         );

@@ -47,11 +47,9 @@ const USAGE: &str = "{bin} [scale_factor] [queries_per_tenant] [tenants] [nodes]
 /// Measurement repetitions per cell at the record-writing default cell.
 /// Reps are interleaved round-robin across the grid (rep 1 of every
 /// cell, then rep 2 of every cell, …) so slow machine drift cannot bias
-/// one sweep against another, and each cell keeps its best rep. Later
-/// reps also re-run against the sim's warmed fleet-wide skeleton cache
-/// (the cache admits on the second sighting of a fingerprint), so the
-/// kept number reflects steady-state throughput. Reduced-scale runs
-/// (CI) only need the bit-identity check, which one rep establishes.
+/// one sweep against another, and each cell keeps its best rep.
+/// Reduced-scale runs (CI) only need the bit-identity check, which one
+/// rep establishes.
 const MEASURE_REPS: usize = 12;
 
 struct Cell {
@@ -228,26 +226,14 @@ fn main() {
     // Only the default acceptance cell refreshes the committed record;
     // reduced-scale runs (CI) must not clobber it.
     if default_cell {
-        // The traced replay's metrics-registry snapshot plus the
-        // fleet-wide skeleton cache's counters (summed over the baseline
-        // cell's reps) — committed so admission-filter tuning has
-        // recorded hit/admission rates to work from. The skeleton
-        // counters live *outside* the shard-invariance contract:
-        // concurrent cells race probes against the shared cache, so the
-        // hit/miss split is wall-clock-dependent even though every
-        // economic aggregate is not.
-        let mut snapshot = traced_registry;
-        let skel = cells[0].sim.skeleton_cache_counters();
-        snapshot.counter_add("skeleton_cache.hits", skel.hits);
-        snapshot.counter_add("skeleton_cache.misses", skel.misses);
-        snapshot.counter_add("skeleton_cache.admissions", skel.admissions);
-        let registry_json = serde_json::to_string(&snapshot).expect("registry serializes");
+        // The traced replay's metrics-registry snapshot.
+        let registry_json = serde_json::to_string(&traced_registry).expect("registry serializes");
         let config = format!(
             "{{\"scale_factor\": {sf}, \"queries_per_tenant\": {queries_per_tenant}, \
              \"tenants\": {tenants}, \"nodes\": {nodes}, \"router\": \"cheapest-quote\", \
              \"parallelism\": {parallelism}, \
              \"qps_note\": \"best of {reps} interleaved runs per cell; qps_min/qps_median record the rep spread\", \
-             \"registry_note\": \"traced-replay registry of the reference cell + fleet-global skeleton_cache.* counters (wall-clock-dependent, excluded from the invariance contract)\", \
+             \"registry_note\": \"traced-replay registry of the reference cell\", \
              \"health_note\": \"the health-sweep row runs the reference settings with a 30s vitals cadence and per-tenant SLO ledger attached; its cost/queries/mean must be bit-identical to the baseline row (the snapshot-on/off identity gate) and its q/s bounds the snapshot overhead\", \
              \"registry\": {registry_json}, \
              \"pr2_baseline_qps\": {PR2_BASELINE_QPS:.0}, \"speedup_vs_pr2\": {:.2}, \

@@ -130,13 +130,6 @@ impl EconomyManager {
         self.plancache.borrow().stats()
     }
 
-    /// Plan-cache way-conflict evictions per template (indexed by
-    /// template id) — the adaptive-associativity input signal.
-    #[must_use]
-    pub fn plan_cache_way_conflicts(&self) -> Vec<u64> {
-        self.plancache.borrow().way_conflicts().to_vec()
-    }
-
     /// The cloud account (`CR` lives here).
     #[must_use]
     pub fn account(&self) -> &CloudAccount {

@@ -29,8 +29,8 @@
 //! * [`plancache`] — memoized planning: 2-way-associative per-template
 //!   slots caching the cache-independent plan skeleton plus its latest
 //!   per-node completion, bit-identical to fresh enumeration (the
-//!   hot-path optimisation the `hotpath` bench measures), with
-//!   way-conflict counters feeding the adaptive-associativity roadmap.
+//!   hot-path optimisation the `hotpath` bench measures), backed by a
+//!   small victim cache for templates with more live instances than ways.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -43,16 +43,15 @@
 //!
 //! Templates that keep *more* than two parameterisations live thrash
 //! even a 2-way set. Rather than widening every set for the worst
-//! template, a small **fully-associative victim cache** backs all sets
-//! adaptively: a displaced slot is admitted only once its template has
-//! accumulated more way-conflict evictions than the set has ways
-//! (persistent-thrash evidence, not a one-off collision), and a lookup
+//! template, a small **fully-associative victim cache** backs all sets:
+//! every live slot a set displaces moves into it whole, and a lookup
 //! that misses its set probes the victims before declaring a miss — a
 //! victim hit swaps the slot back into the set (displacing that set's
 //! LRU way into the victim cache) and counts in
-//! [`PlanCacheStats::victim_hits`]. The associativity a template
-//! *effectively* gets therefore grows with its observed live-instance
-//! count, bounded by [`VICTIM_CACHE_SLOTS`] shared across all templates.
+//! [`PlanCacheStats::victim_hits`]. The victim cache holds at most
+//! [`VICTIM_CACHE_SLOTS`] slots shared across all templates; when it is
+//! full, its LRU slot is dismantled and its allocations reused for the
+//! incoming install.
 //!
 //! The contract — enforced by `tests/memoization.rs`,
 //! `tests/skeleton_split.rs` and the fleet routing tests — is that
@@ -76,9 +75,9 @@ pub(crate) const PLAN_CACHE_WAYS: usize = 2;
 
 /// Capacity of the fully-associative victim cache shared by all
 /// template sets (see the module docs): enough for a handful of
-/// persistently thrashing templates to keep their 3rd..nth live
-/// parameterisations memoized, small enough that the miss-path probe
-/// stays a short linear scan.
+/// thrashing templates to keep their 3rd..nth live parameterisations
+/// memoized, small enough that the miss-path probe stays a short linear
+/// scan.
 pub(crate) const VICTIM_CACHE_SLOTS: usize = 8;
 
 /// One memoized template slot: the skeleton plus its latest completion.
@@ -142,12 +141,9 @@ pub struct PlanCacheStats {
     /// re-ran.
     pub completions: u64,
     /// Installs that displaced a *live* way — both ways of the template's
-    /// set were occupied, so a memoized instance was evicted to make
-    /// room. A workload with persistent conflicts has more than
-    /// [`PLAN_CACHE_WAYS`] live instances per template; once a template's
-    /// conflict count exceeds the set's way count, its displaced slots
-    /// are admitted to the victim cache ([`PlanCache::way_conflicts`]
-    /// breaks the signal down per template).
+    /// set were occupied, so a memoized instance moved to the victim
+    /// cache to make room. A workload with persistent conflicts has more
+    /// than [`PLAN_CACHE_WAYS`] live instances per template.
     pub conflicts: u64,
     /// Set-miss lookups rescued by the victim cache: the fingerprint was
     /// displaced from its set but still memoized, and was swapped back
@@ -157,8 +153,8 @@ pub struct PlanCacheStats {
 }
 
 /// Per-manager memoized plan sets: a 2-way set of slots per template,
-/// backed by a small fully-associative victim cache for persistently
-/// thrashing templates.
+/// backed by a small fully-associative victim cache for thrashing
+/// templates.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     sets: Vec<[Option<Slot>; PLAN_CACHE_WAYS]>,
@@ -166,9 +162,6 @@ pub struct PlanCache {
     /// At most [`VICTIM_CACHE_SLOTS`] entries; eviction is LRU by stamp.
     victims: Vec<(usize, Slot)>,
     stats: PlanCacheStats,
-    /// Way-conflict evictions per template (index = template id), the
-    /// per-set admission evidence for the victim cache.
-    template_conflicts: Vec<u64>,
     fingerprint_scratch: Vec<u64>,
     tick: u64,
 }
@@ -186,20 +179,10 @@ impl PlanCache {
         self.stats
     }
 
-    /// Way-conflict evictions per template (indexed by template id; a
-    /// template beyond the slice's end has seen none). Input signal for
-    /// the seeded adaptive-associativity work: a persistently conflicting
-    /// template has more live instances than its set has ways.
-    #[must_use]
-    pub fn way_conflicts(&self) -> &[u64] {
-        &self.template_conflicts
-    }
-
     /// Builds the planning fingerprint of `query` into the internal
     /// scratch — [`planner::planning_fingerprint`], which covers exactly
     /// the fields enumeration reads (`budget_scale`, `id` and `region`
-    /// are deliberately excluded) and also keys the fleet-wide
-    /// [`planner::SkeletonCache`].
+    /// are deliberately excluded).
     pub(crate) fn prepare_fingerprint(&mut self, query: &Query) {
         planner::planning_fingerprint(query, &mut self.fingerprint_scratch);
     }
@@ -247,14 +230,11 @@ impl PlanCache {
     }
 
     /// Memoizes a fresh skeleton + completion for `template` under the
-    /// prepared fingerprint, evicting the set's LRU way if both ways are
-    /// live. A displaced slot whose template has shown *persistent*
-    /// thrash — more way-conflict evictions than the set has ways — is
-    /// admitted whole into the victim cache (evicting the victim LRU if
-    /// full) instead of being dismantled; the admission bar keeps one-off
-    /// collisions from churning the victims. Returns the displaced
-    /// slot's plans (if any, and not admitted) so the caller can recycle
-    /// their allocations.
+    /// prepared fingerprint, moving the set's LRU way into the victim
+    /// cache if both ways are live. When that overflows the victim cache,
+    /// its LRU slot is dismantled: the new slot reuses its fingerprint
+    /// buffer, and its plans are returned so the caller can recycle their
+    /// allocations.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn install_slot(
         &mut self,
@@ -282,38 +262,29 @@ impl PlanCache {
         let (mut fingerprint, displaced) = match set[way].take() {
             Some(old) => {
                 self.stats.conflicts += 1;
-                if template >= self.template_conflicts.len() {
-                    self.template_conflicts.resize(template + 1, 0);
-                }
-                self.template_conflicts[template] += 1;
-                if self.template_conflicts[template] > PLAN_CACHE_WAYS as u64 {
-                    // Persistent thrash: keep the displaced slot whole.
-                    // When that overflows the victim pool, the evicted
-                    // LRU victim is dismantled for parts — so the
-                    // steady-state install still recycles one slot's
-                    // allocations instead of churning the allocator on
-                    // every displacement.
-                    let recycled = if self.victims.len() >= VICTIM_CACHE_SLOTS {
-                        let lru = self
-                            .victims
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, (_, s))| s.stamp)
-                            .map(|(i, _)| i)
-                            .expect("victim cache is non-empty when full");
-                        let (_, evicted) = self.victims.swap_remove(lru);
-                        (
-                            evicted.fingerprint,
-                            Some((evicted.plans, evicted.missing_builds)),
-                        )
-                    } else {
-                        (Vec::new(), None)
-                    };
-                    self.victims.push((template, old));
-                    recycled
+                // Keep the displaced slot whole. When that overflows the
+                // victim cache, its LRU slot is dismantled for parts, so
+                // the steady-state install still recycles one slot's
+                // allocations instead of churning the allocator on every
+                // displacement.
+                let recycled = if self.victims.len() >= VICTIM_CACHE_SLOTS {
+                    let lru = self
+                        .victims
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, (_, s))| s.stamp)
+                        .map(|(i, _)| i)
+                        .expect("victim cache is non-empty when full");
+                    let (_, evicted) = self.victims.swap_remove(lru);
+                    (
+                        evicted.fingerprint,
+                        Some((evicted.plans, evicted.missing_builds)),
+                    )
                 } else {
-                    (old.fingerprint, Some((old.plans, old.missing_builds)))
-                }
+                    (Vec::new(), None)
+                };
+                self.victims.push((template, old));
+                recycled
             }
             None => (Vec::new(), None),
         };

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use catalog::tpch::{tpch_schema, ScaleFactor};
 use catalog::Schema;
-use planner::{generate_candidates, Estimator, PlannerContext, SkeletonCache};
+use planner::{generate_candidates, Estimator, PlannerContext};
 use simcore::{NetworkModel, SimTime};
 use simulator::RunResult;
 use workload::paper_templates;
@@ -49,14 +49,12 @@ use crate::router::QuoteOptions;
 use crate::tenant::{MergedStream, TenantStream};
 
 /// A prepared fleet simulation: schema, candidates and estimator built
-/// once and shared (read-only) by every cell on every worker thread,
-/// plus the fleet-wide skeleton cache the cells' quote rounds share.
+/// once and shared (read-only) by every cell on every worker thread.
 pub struct FleetSim {
     schema: Arc<Schema>,
     candidates: Vec<cache::IndexDef>,
     cand_index: planner::CandidateIndex,
     estimator: Estimator,
-    skeletons: Arc<SkeletonCache>,
     config: FleetConfig,
 }
 
@@ -119,24 +117,8 @@ impl FleetSim {
             candidates,
             cand_index,
             estimator,
-            skeletons: Arc::new(SkeletonCache::new()),
             config,
         }
-    }
-
-    /// `(hits, misses)` of the fleet-wide skeleton cache so far.
-    #[must_use]
-    pub fn skeleton_cache_stats(&self) -> (u64, u64) {
-        self.skeletons.stats()
-    }
-
-    /// Full counter snapshot of the fleet-wide skeleton cache —
-    /// hits, misses and admission-filter stores. The `fleet_scale`
-    /// bench records these in its JSON so admission-filter tuning has
-    /// committed data to work from.
-    #[must_use]
-    pub fn skeleton_cache_counters(&self) -> planner::SkeletonCacheCounters {
-        self.skeletons.counters()
     }
 
     /// The backend schema.
@@ -353,13 +335,7 @@ impl FleetSim {
             .elastic
             .as_ref()
             .map(|_| ElasticController::new(&self.config, cell, Arc::clone(&self.schema)));
-        let mut router = self.config.router.make(QuoteOptions {
-            // A single-cell run has nothing to de-duplicate across cells:
-            // the within-round LazySkeleton sharing already builds each
-            // skeleton once, so the fleet-wide cache would only add a
-            // shard-lock probe per miss. Skip it.
-            skeletons: (self.config.cells > 1).then(|| Arc::clone(&self.skeletons)),
-        });
+        let mut router = self.config.router.make(QuoteOptions::default());
         let ctx = PlannerContext {
             schema: &self.schema,
             candidates: &self.candidates,

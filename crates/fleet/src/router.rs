@@ -26,17 +26,14 @@
 //!
 //! The round shares one lazily-built, cache-independent
 //! [`LazySkeleton`] across every quoted node: the first node whose plan
-//! cache misses builds it (through the fleet-wide [`SkeletonCache`] when
-//! one is attached), every other node binds it against its own cache
-//! state, and a round where every node hits builds nothing. Nodes are
-//! quoted one at a time in ascending index order.
+//! cache misses builds it, every other node binds it against its own
+//! cache state, and a round where every node hits builds nothing. Nodes
+//! are quoted one at a time in ascending index order.
 //!
 //! All strategies break ties toward the lowest node index, so routing is
 //! a deterministic function of the (node states, query, time) tuple.
 
-use std::sync::Arc;
-
-use planner::{LazySkeleton, PlannerContext, SkeletonCache};
+use planner::{LazySkeleton, PlannerContext};
 use pricing::Money;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -149,14 +146,12 @@ impl Router for LeastOutstanding {
 }
 
 /// Construction-time options for cheapest-quote routing.
+///
+/// Cheapest-quote routing has no settable options left; the type stays
+/// so that [`RouterKind::make`] keeps its signature for existing callers
+/// (the repo benchmark calls `make(QuoteOptions::default())`).
 #[derive(Debug, Clone, Default)]
-pub struct QuoteOptions {
-    /// Fleet-wide skeleton cache: rounds that must build the query's
-    /// [`planner::PlanSkeleton`] first probe this cache under the
-    /// query's planning fingerprint, de-duplicating builds across
-    /// concurrently simulated cells.
-    pub skeletons: Option<Arc<SkeletonCache>>,
-}
+pub struct QuoteOptions {}
 
 /// Price-based routing: the node quoting the lowest `B_Q(t)` wins the bid.
 ///
@@ -165,15 +160,13 @@ pub struct QuoteOptions {
 /// a lower-id cold node with the same scheme, config and arrival rate,
 /// so each distinct cold state is priced once. The round then plans the
 /// query at most once (the shared [`LazySkeleton`], built by the first
-/// node that needs it — resolved through the fleet-wide [`SkeletonCache`]
-/// when one is attached) and scans the quoted nodes in ascending index
+/// node that needs it) and scans the quoted nodes in ascending index
 /// order, each completing the skeleton against its own cache.
 ///
 /// The chosen node is the first node with the minimal bid — the same
 /// winner as an exhaustive scan that quotes every routable node.
 #[derive(Debug, Default)]
 pub struct CheapestQuote {
-    skeletons: Option<Arc<SkeletonCache>>,
     /// Which nodes the current round quotes, rebuilt every round.
     mask: QuoteMask,
     /// The winning bid of the most recent round (flight-recorder data;
@@ -247,17 +240,6 @@ fn cold_economy(node: &CacheNode) -> Option<&econ::EconomyManager> {
     node.economy().filter(|m| m.cache().is_empty())
 }
 
-impl CheapestQuote {
-    /// A cheapest-quote router with explicit [`QuoteOptions`].
-    #[must_use]
-    pub fn with_options(options: QuoteOptions) -> Self {
-        CheapestQuote {
-            skeletons: options.skeletons,
-            ..CheapestQuote::default()
-        }
-    }
-}
-
 impl Router for CheapestQuote {
     fn name(&self) -> &'static str {
         "cheapest-quote"
@@ -271,12 +253,8 @@ impl Router for CheapestQuote {
         now: SimTime,
     ) -> usize {
         // The cache-independent half of every node's planning: built at
-        // most once per round, by the first node whose memo misses —
-        // resolved through the fleet-wide cache when one is attached.
-        let skeleton = match &self.skeletons {
-            Some(cache) => LazySkeleton::with_cache(ctx, query, cache),
-            None => LazySkeleton::new(ctx, query),
-        };
+        // most once per round, by the first node whose memo misses.
+        let skeleton = LazySkeleton::new(ctx, query);
         let (routable, quoted) = self.mask.fill(nodes, now);
         self.last_quoted = quoted;
         self.shared_bids += (routable - quoted) as u64;
@@ -342,16 +320,14 @@ impl RouterKind {
         }
     }
 
-    /// Instantiates a fresh router of this kind. `quote` configures the
-    /// cheapest-quote strategy (the shared skeleton cache) and is ignored
-    /// by the other strategies; results are invariant in it by
-    /// construction.
+    /// Instantiates a fresh router of this kind. [`QuoteOptions`] has no
+    /// fields; the parameter is kept for existing callers.
     #[must_use]
-    pub fn make(&self, quote: QuoteOptions) -> Box<dyn Router> {
+    pub fn make(&self, _quote: QuoteOptions) -> Box<dyn Router> {
         match self {
             RouterKind::RoundRobin => Box::<RoundRobin>::default(),
             RouterKind::LeastOutstanding => Box::new(LeastOutstanding),
-            RouterKind::CheapestQuote => Box::new(CheapestQuote::with_options(quote)),
+            RouterKind::CheapestQuote => Box::<CheapestQuote>::default(),
         }
     }
 }

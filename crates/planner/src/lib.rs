@@ -17,9 +17,8 @@
 //!   query against the current cache state.
 //! * [`skeleton`] — the cache-independent half of enumeration
 //!   ([`PlanSkeleton`]) plus the cheap per-node completion phase, so a
-//!   fleet quote round plans each query once instead of once per node;
-//!   [`SkeletonCache`] shares built skeletons fleet-wide under the
-//!   query's planning fingerprint.
+//!   fleet quote round plans each query once instead of once per node
+//!   ([`LazySkeleton`] builds it on the round's first need).
 //! * [`soa`] — struct-of-arrays projection of the selection-hot plan
 //!   fields (time, price, existing flag).
 //! * [`skyline`] — keeps only the (time, price)-Pareto plans, as the
@@ -44,9 +43,6 @@ pub use enumerate::{
 pub use estimator::{CacheExecBase, CostParams, Estimator};
 pub use plan::{PlanShape, QueryPlan};
 pub use scaling::ParallelModel;
-pub use skeleton::{
-    complete_plans_into, planning_fingerprint, LazySkeleton, PlanSkeleton, SkeletonCache,
-    SkeletonCacheCounters,
-};
+pub use skeleton::{complete_plans_into, planning_fingerprint, LazySkeleton, PlanSkeleton};
 pub use skyline::{skyline_filter, skyline_partition, skyline_partition_hot};
 pub use soa::PlanHot;

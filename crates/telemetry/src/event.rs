@@ -16,13 +16,17 @@ use serde::{Deserialize, Serialize};
 /// completions only ever grow within a query step, so deltas are exact).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanCacheDelta {
-    /// Memoized skeletons reused as-is.
+    /// Lookups served from a memoized completed plan set.
     pub hits: u64,
-    /// Plans built from scratch.
+    /// Lookups that had to enumerate (fresh fingerprint).
     pub misses: u64,
-    /// Stale entries re-planned after a cache-content change.
+    /// Hits whose maintenance/amortisation prices were re-derived because
+    /// the clock or the settlement counter had moved — a subset of
+    /// `hits`.
     pub refreshes: u64,
-    /// Shared skeletons completed against per-node cache state.
+    /// Lookups whose skeleton was memoized but whose completion was stale
+    /// (the cache epoch moved): only the completion phase re-ran from the
+    /// memoized skeleton.
     pub completions: u64,
     /// Set-miss lookups rescued by the memo's victim cache. Defaults to
     /// zero so traces recorded before the victim cache existed still
