@@ -386,8 +386,8 @@ fn metrics_report(trace: &Trace) {
     );
 }
 
-/// The health-plane CI gate (the `trend --check` prerequisite): the
-/// vitals scraper and SLO ledger must never perturb the simulation.
+/// The health-plane CI gate: the vitals scraper and SLO ledger must
+/// never perturb the simulation.
 fn health_check() {
     // 1. Snapshot-on vs snapshot-off bit-identity: the fingerprint
     //    excludes the health series itself, so any difference means the

@@ -35,8 +35,8 @@
 //! breach count.
 //!
 //! At the default cell the run writes `BENCH_fleet_elastic.json`
-//! (best-of-reps q/s plus min/median spreads per cell and the merged
-//! traced-replay metrics registry).
+//! (one timed run per cell and the merged traced-replay metrics
+//! registry).
 //!
 //! Usage: `cargo run --release -p bench --bin fleet_elastic \
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
@@ -54,10 +54,6 @@ use telemetry::MetricsRegistry;
 
 const USAGE: &str = "{bin} [scale_factor] [queries_per_tenant] [tenants] [nodes]\n       \
                      defaults: scale_factor 50, queries_per_tenant 100, tenants 100, nodes 8";
-
-/// Measurement repetitions per cell at the record-writing default cell
-/// (interleaved round-robin; each cell keeps best + min/median spread).
-const MEASURE_REPS: usize = 5;
 
 /// The three arrival scenarios. Gaps are sized so the seed fleet is
 /// genuinely *underloaded* in calm phases (drainable idle capacity —
@@ -109,15 +105,8 @@ fn elastic_config(seed_nodes: usize) -> ElasticConfig {
 struct Cell {
     scenario: &'static str,
     mode: &'static str,
-    sim: FleetSim,
-    rep_qps: Vec<f64>,
-    result: Option<FleetResult>,
-}
-
-impl Cell {
-    fn spread(&self) -> bench::RepSpread {
-        bench::rep_spread(&self.rep_qps)
-    }
+    qps: f64,
+    result: FleetResult,
 }
 
 fn main() {
@@ -169,33 +158,24 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for scenario in scenarios {
         for (mode, elastic) in [("static", false), ("elastic", true)] {
+            let sim = FleetSim::new(base(scenario, elastic));
+            let started = std::time::Instant::now();
+            let result = sim.run();
+            let wall = started.elapsed().as_secs_f64();
             cells.push(Cell {
                 scenario,
                 mode,
-                sim: FleetSim::new(base(scenario, elastic)),
-                rep_qps: Vec::new(),
-                result: None,
+                qps: result.queries as f64 / wall.max(1e-9),
+                result,
             });
-        }
-    }
-    let reps = if default_cell { MEASURE_REPS } else { 1 };
-    for _rep in 0..reps {
-        for cell in &mut cells {
-            let started = std::time::Instant::now();
-            let run = cell.sim.run();
-            let wall = started.elapsed().as_secs_f64();
-            cell.rep_qps.push(run.queries as f64 / wall.max(1e-9));
-            cell.result = Some(run);
         }
     }
 
     println!(
-        "{:>8} {:>8} {:>10} {:>10} {:>10} {:>14} {:>12} {:>12} {:>8} {:>8} {:>7} {:>7} {:>6} {:>12} {:>7} {:>10} {:>7} {:>7}",
+        "{:>8} {:>8} {:>10} {:>14} {:>12} {:>12} {:>8} {:>8} {:>7} {:>7} {:>6} {:>12} {:>7} {:>10} {:>7} {:>7}",
         "scenario",
         "mode",
         "queries/s",
-        "q/s min",
-        "q/s med",
         "cost ($)",
         "mean resp",
         "p99 resp",
@@ -212,14 +192,12 @@ fn main() {
     );
     let mut set = RowSet::new();
     for cell in &cells {
-        let r = cell.result.as_ref().expect("cell ran");
+        let r = &cell.result;
         let e = r.elastic.as_ref();
         let row = Row::new()
             .str_cell("scenario", cell.scenario, 8, false)
             .str_cell("mode", cell.mode, 8, false)
-            .f64_cell("qps", cell.spread().best, 10, 0, 0)
-            .f64_cell("qps_min", cell.spread().min, 10, 0, 0)
-            .f64_cell("qps_median", cell.spread().median, 10, 0, 0)
+            .f64_cell("qps", cell.qps, 10, 0, 0)
             .f64_cell(
                 "total_cost_usd",
                 r.total_operating_cost().as_dollars(),
@@ -284,7 +262,7 @@ fn main() {
             cells
                 .iter()
                 .find(|c| c.scenario == scenario && c.mode == "elastic")
-                .and_then(|c| c.result.as_ref())
+                .map(|c| &c.result)
                 .expect("elastic cell ran"),
         );
         let mut config = base(scenario, true);
@@ -311,7 +289,7 @@ fn main() {
             cells
                 .iter()
                 .find(|c| c.scenario == scenario && c.mode == mode)
-                .and_then(|c| c.result.as_ref())
+                .map(|c| &c.result)
                 .expect("cell ran")
         };
         (get("static"), get("elastic"))
@@ -346,7 +324,7 @@ fn main() {
             "{{\"scale_factor\": {sf}, \"queries_per_tenant\": {queries_per_tenant}, \
              \"tenants\": {tenants}, \"nodes\": {nodes}, \"router\": \"cheapest-quote\", \
              \"parallelism\": {parallelism}, \
-             \"qps_note\": \"best of {reps} interleaved runs per cell; qps_min/qps_median record the rep spread\", \
+             \"qps_note\": \"one timed run per cell\", \
              \"registry_note\": \"merged traced-replay registry (3 elastic scenarios)\", \
              \"registry\": {registry_json}, \
              \"elastic\": {elastic_json}}}"

@@ -57,9 +57,8 @@
 //! any violation.
 //!
 //! At the default cell the run writes `BENCH_fleet_faults.json`
-//! (best-of-reps q/s plus min/median spreads per cell, fault-plane
-//! counters per cell, the serialized fault plans and the merged
-//! traced-replay registry).
+//! (one timed run per cell, fault-plane counters per cell, the
+//! serialized fault plans and the merged traced-replay registry).
 //!
 //! Usage: `cargo run --release -p bench --bin fleet_faults \
 //!         [scale_factor] [queries_per_tenant] [tenants] [nodes]`
@@ -92,13 +91,6 @@ const INTERVAL_SECS: f64 = 60.0;
 /// must burn it hard enough for the e-process drift detector to fire —
 /// the alarm fixture the committed record pins).
 const SLO_P99_TARGET_SECS: f64 = 6.0;
-
-/// Measurement repetitions per cell at the record-writing default cell.
-/// Five interleaved reps: the best-of-reps headline recovers the
-/// runner's fast moments and the min-of-reps records its noise floor,
-/// so the trend check's spread-widened tolerance reflects the machine
-/// the record was actually measured on.
-const MEASURE_REPS: usize = 5;
 
 /// The faulted scenarios (everything but `none`), with fault instants
 /// proportional to the run horizon so the same grid exercises every
@@ -186,19 +178,8 @@ fn elastic_config(seed_nodes: usize) -> ElasticConfig {
 struct Cell {
     scenario: &'static str,
     mode: &'static str,
-    sim: FleetSim,
-    rep_qps: Vec<f64>,
-    result: Option<FleetResult>,
-}
-
-impl Cell {
-    fn spread(&self) -> bench::RepSpread {
-        bench::rep_spread(&self.rep_qps)
-    }
-
-    fn result(&self) -> &FleetResult {
-        self.result.as_ref().expect("cell ran")
-    }
+    qps: f64,
+    result: FleetResult,
 }
 
 fn main() {
@@ -268,32 +249,24 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for scenario in scenarios {
         for (mode, elastic) in [("static", false), ("elastic", true)] {
+            let sim = FleetSim::new(base(scenario, elastic));
+            let started = std::time::Instant::now();
+            let result = sim.run();
+            let wall = started.elapsed().as_secs_f64();
             cells.push(Cell {
                 scenario,
                 mode,
-                sim: FleetSim::new(base(scenario, elastic)),
-                rep_qps: Vec::new(),
-                result: None,
+                qps: result.queries as f64 / wall.max(1e-9),
+                result,
             });
-        }
-    }
-    let reps = if default_cell { MEASURE_REPS } else { 1 };
-    for _rep in 0..reps {
-        for cell in &mut cells {
-            let started = std::time::Instant::now();
-            let run = cell.sim.run();
-            let wall = started.elapsed().as_secs_f64();
-            cell.rep_qps.push(run.queries as f64 / wall.max(1e-9));
-            cell.result = Some(run);
         }
     }
 
     println!(
-        "{:>16} {:>8} {:>10} {:>10} {:>14} {:>12} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>8} {:>12} {:>7} {:>7} {:>12} {:>10} {:>7} {:>7} {:>7}",
+        "{:>16} {:>8} {:>10} {:>14} {:>12} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>8} {:>12} {:>7} {:>7} {:>12} {:>10} {:>7} {:>7} {:>7}",
         "scenario",
         "mode",
         "queries/s",
-        "q/s min",
         "cost ($)",
         "mean resp",
         "crashes",
@@ -316,14 +289,13 @@ fn main() {
     );
     let mut set = RowSet::new();
     for cell in &cells {
-        let r = cell.result();
+        let r = &cell.result;
         let e = r.elastic.as_ref();
         let f = r.faults.as_ref();
         let row = Row::new()
             .str_cell("scenario", cell.scenario, 16, false)
             .str_cell("mode", cell.mode, 8, false)
-            .f64_cell("qps", cell.spread().best, 10, 0, 0)
-            .f64_cell("qps_min", cell.spread().min, 10, 0, 0)
+            .f64_cell("qps", cell.qps, 10, 0, 0)
             .f64_cell(
                 "total_cost_usd",
                 r.total_operating_cost().as_dollars(),
@@ -432,7 +404,7 @@ fn main() {
     let mut failed = false;
     let mut traced_registry = MetricsRegistry::new();
     for scenario in &scenarios[1..] {
-        let reference = fleet_fingerprint(find(scenario, "elastic").result());
+        let reference = fleet_fingerprint(&find(scenario, "elastic").result);
         for shards in [4, 2] {
             let mut config = base(scenario, true);
             config.shards = shards;
@@ -456,7 +428,7 @@ fn main() {
     // node's books exactly; the crash-recover cells must actually
     // recover every crash they planned.
     for cell in &cells {
-        let Some(f) = cell.result().faults.as_ref() else {
+        let Some(f) = cell.result.faults.as_ref() else {
             continue;
         };
         for record in &f.records {
@@ -489,7 +461,7 @@ fn main() {
     // decision ledger must show the floor rule firing — resilience via
     // the ordinary review loop, not a special path.
     for scenario in ["crash", "crash-recover"] {
-        let r = find(scenario, "elastic").result();
+        let r = &find(scenario, "elastic").result;
         let ledger = r.elastic.as_ref().map(|e| &e.ledger[..]).unwrap_or(&[]);
         let floor_spawns = ledger
             .iter()
@@ -510,8 +482,8 @@ fn main() {
     // Surviving the crash must not cost extra: the elastic fleet drains
     // idle capacity and *still* respawns after the crash, yet ends up
     // cheaper than the static fleet running its surviving population.
-    let st = find("crash", "static").result();
-    let el = find("crash", "elastic").result();
+    let st = &find("crash", "static").result;
+    let el = &find("crash", "elastic").result;
     let cheaper = el.total_operating_cost() < st.total_operating_cost();
     println!(
         "crash: elastic-with-respawn cost ${:.4} vs static-with-crash ${:.4} ({})",
@@ -536,8 +508,8 @@ fn main() {
                 .as_ref()
                 .map_or(pricing::Money::ZERO, |f| f.write_off)
     };
-    let casc = find("cascade", "elastic").result();
-    let evac = find("cascade-evacuate", "elastic").result();
+    let casc = &find("cascade", "elastic").result;
+    let evac = &find("cascade-evacuate", "elastic").result;
     let cf = casc.faults.as_ref().expect("cascade fault summary");
     let ef = evac
         .faults
@@ -588,7 +560,7 @@ fn main() {
     // node carries enough backlog to trip the deadline-budgeted retry.
     for scenario in ["cascade", "cascade-evacuate"] {
         let fs = find(scenario, "static")
-            .result()
+            .result
             .faults
             .as_ref()
             .expect("fault summary");
@@ -597,7 +569,7 @@ fn main() {
             eprintln!("error: {scenario}/static recorded no cascade follow-on crashes");
         }
         let fe = find(scenario, "elastic")
-            .result()
+            .result
             .faults
             .as_ref()
             .expect("fault summary");
@@ -611,13 +583,11 @@ fn main() {
     // re-route work, they never lose it.
     let budget = u64::from(tenants) * queries_per_tenant;
     for cell in &cells {
-        if cell.result().queries != budget {
+        if cell.result.queries != budget {
             failed = true;
             eprintln!(
                 "error: {}/{} served {} of {budget} queries",
-                cell.scenario,
-                cell.mode,
-                cell.result().queries
+                cell.scenario, cell.mode, cell.result.queries
             );
         }
     }
@@ -628,7 +598,7 @@ fn main() {
     // the e-value threshold. Gated at the default cell only — reduced
     // scales reshape the response distribution under the fixed target.
     let alarm_count = |scenario: &str, mode: &str| {
-        let r = find(scenario, mode).result();
+        let r = &find(scenario, mode).result;
         detect_alarms(
             r.health.as_ref(),
             &r.slo,
@@ -675,7 +645,7 @@ fn main() {
              \"tenants\": {tenants}, \"nodes\": {nodes}, \"interval_secs\": {INTERVAL_SECS}, \
              \"horizon_secs\": {horizon}, \"router\": \"cheapest-quote\", \
              \"parallelism\": {parallelism}, \
-             \"qps_note\": \"best of {reps} interleaved runs per cell; qps_min records the rep spread\", \
+             \"qps_note\": \"one timed run per cell\", \
              \"registry_note\": \"merged traced-replay registry (8 faulted elastic scenarios)\", \
              \"registry\": {registry_json}, \
              \"elastic\": {elastic_json}, \

@@ -13,12 +13,22 @@
 //! | `fig10_ablation_attribution` | regret attribution: uniform share vs full value |
 //! | `pilot`, `probe_paper` | calibration tools (not shipped figures) |
 //!
-//! Every binary accepts `[scale_factor] [num_queries]` positional
+//! Every figure binary accepts `[scale_factor] [num_queries]` positional
 //! arguments (defaults: SF 2500 — the paper's 2.5 TB — and a query count
 //! sized so the run finishes in about a minute), prints the paper-style
 //! table, and drops a CSV under `results/`.
 //!
-//! Criterion micro-benches live in `benches/`.
+//! Beside the figures, three binaries check the fleet extensions:
+//!
+//! | target | checks |
+//! |--------|--------|
+//! | `fleet_elastic` | elastic vs static fleets; shard and tracing invariance |
+//! | `fleet_faults` | the fault plane; shard/tracing invariance, exact ledger replay |
+//! | `explain` | trace replay queries; `selfcheck` and `health` bit-identity gates |
+//!
+//! Throughput is measured by the repo benchmark (`perfbench/`, declared
+//! in `BENCHMARK.json`), not here. Criterion micro-benches live in
+//! `benches/`.
 
 #![forbid(unsafe_code)]
 
@@ -28,45 +38,9 @@ use std::path::Path;
 
 pub mod cli;
 pub mod row;
-pub mod trend;
 
 pub use cli::{cli_arg, cli_max_args, cli_scale, cli_usage_error, scale_args};
 pub use row::{Row, RowSet};
-
-/// Best / min / median of one cell's per-rep throughput measurements.
-/// Grid benches record all three (`qps` / `qps_min` / `qps_median`) so
-/// `trend` can hold regressions to the record's own measured noise band
-/// instead of a blanket tolerance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepSpread {
-    /// Best (highest) rep — the headline `qps`.
-    pub best: f64,
-    /// Worst rep.
-    pub min: f64,
-    /// Median rep (mean of the middle two for even counts).
-    pub median: f64,
-}
-
-/// Summarizes a cell's rep measurements.
-///
-/// # Panics
-/// Panics if `reps` is empty.
-#[must_use]
-pub fn rep_spread(reps: &[f64]) -> RepSpread {
-    assert!(!reps.is_empty(), "rep_spread needs at least one rep");
-    let mut sorted = reps.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    RepSpread {
-        best: sorted[n - 1],
-        min: sorted[0],
-        median: if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-        },
-    }
-}
 
 /// The paper's inter-arrival grid (seconds), Figures 4 and 5.
 pub const PAPER_INTERVALS: [f64; 4] = [1.0, 10.0, 30.0, 60.0];
@@ -200,8 +174,8 @@ pub fn write_figure_bench_json(name: &str, sf: f64, n: u64, config: &str, cells:
 }
 
 /// Writes `BENCH_<name>.json` in the working directory (the repo root
-/// when run via `cargo run`), the machine-readable perf record each PR's
-/// trajectory is tracked through. `config` is a JSON object string
+/// when run via `cargo run`), the machine-readable record of a bench's
+/// default cell. `config` is a JSON object string
 /// (including the measured wall-clock, so a record is never mistaken for
 /// one at a different scale); `cells` are JSON object strings.
 pub fn write_bench_json(name: &str, config: &str, cells: &[String]) {
@@ -232,7 +206,7 @@ pub fn bench_config_json(sf: f64, n: u64, total_queries: u64, wall_secs: f64) ->
 /// bit-for-bit: every economic aggregate plus the serialized elastic
 /// decision ledger (empty for fixed-population fleets) and the
 /// serialized fault record stream (empty for fault-free fleets).
-/// Shared by `fleet_elastic`'s shard/pool replay check, its
+/// Shared by `fleet_elastic`'s shard replay check, its
 /// traced-vs-noop bit-identity check, `fleet_faults`' fault-replay
 /// check and `explain selfcheck` — one definition, so the gates cannot
 /// quietly diverge on what "identical" means.

@@ -29,7 +29,8 @@
 //! * [`plancache`] — memoized planning: 2-way-associative per-template
 //!   slots caching the cache-independent plan skeleton plus its latest
 //!   per-node completion, bit-identical to fresh enumeration (the
-//!   hot-path optimisation the `hotpath` bench measures), backed by a
+//!   hot-path optimisation the repo benchmark's `node-adhoc` and
+//!   `node-prepared` workloads measure), backed by a
 //!   small victim cache for templates with more live instances than ways.
 
 #![deny(missing_docs)]

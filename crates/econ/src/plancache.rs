@@ -125,8 +125,8 @@ pub(crate) struct Slot {
     pub stamp: u64,
 }
 
-/// Hit/miss counters (exposed through the policies layer and the
-/// `hotpath` bench).
+/// Hit/miss counters (exposed through the policies layer and read by
+/// the repo benchmark as `econ.plan_cache.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served from a memoized completed plan set.

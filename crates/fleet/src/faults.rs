@@ -188,7 +188,8 @@ pub struct FaultPlan {
     #[serde(default)]
     pub evacuation: Option<EvacuateSpec>,
     /// Deadline-budgeted retry for queries routed at degraded winners
-    /// (replaces the single timeout re-route when set).
+    /// (replaces the single timeout re-route when set; requires a
+    /// positive `timeout_secs`, which is what triggers it).
     #[serde(default)]
     pub retry: Option<RetryPolicy>,
     /// Scheduled degradation windows.
@@ -360,7 +361,8 @@ impl FaultPlan {
     /// out-of-horizon instants, unknown node ids, duplicate crashes for
     /// one node (which is what an overlapping crash/recover window is —
     /// a crashed id never returns, its replacement gets a fresh id),
-    /// overlapping degradation windows per node, and overlapping surges.
+    /// overlapping degradation windows per node, overlapping surges, and
+    /// a retry policy without the timeout that triggers it.
     pub fn validate(&self, n_seed_nodes: usize) -> Result<(), String> {
         if !self.horizon_secs.is_finite() || self.horizon_secs <= 0.0 {
             return Err("horizon_secs must be positive".into());
@@ -452,6 +454,11 @@ impl FaultPlan {
         }
         if let Some(r) = &self.retry {
             r.validate()?;
+            // The executor only retries a winner whose backlog has
+            // reached the timeout, so without one the policy never fires.
+            if self.timeout_secs <= 0.0 {
+                return Err("retry requires timeout_secs > 0".into());
+            }
         }
         for (i, d) in self.degradations.iter().enumerate() {
             if d.node >= n_seed_nodes {
@@ -1766,10 +1773,14 @@ mod tests {
         let err = plan().with_retry(0, 1.0, 2.0, 0.5).validate(3).unwrap_err();
         assert!(err.contains("retry.max_attempts"), "{err}");
 
+        let err = plan().with_retry(3, 1.0, 2.0, 0.5).validate(3).unwrap_err();
+        assert!(err.contains("retry requires timeout_secs > 0"), "{err}");
+
         assert!(plan()
             .with_group(vec![0, 1], 10.0)
             .with_cascade(0.5, 0.5, 30.0, 2)
             .with_evacuation(5.0, true)
+            .with_timeout(2.0)
             .with_retry(3, 1.0, 2.0, 0.5)
             .validate(3)
             .is_ok());

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use cloudcache::cache::{CacheState, StructureKey};
 use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::ColumnId;
-use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule};
+use cloudcache::econ::{EconConfig, EconomyManager, InvestmentRule, SelectionObjective};
 use cloudcache::fleet::{run_fleet, FleetConfig, RouterKind};
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -76,6 +76,13 @@ fn biting_config(plan_cache: bool) -> EconConfig {
     }
 }
 
+/// Every plan-selection objective a manager can run under.
+const OBJECTIVES: [SelectionObjective; 3] = [
+    SelectionObjective::Cheapest,
+    SelectionObjective::Fastest,
+    SelectionObjective::MinProfit,
+];
+
 /// A query pool mixing fresh instances with replayed ones, so the memo
 /// sees both misses (new fingerprints) and hits (exact repeats).
 fn query_pool(harness: &Harness, seed: u64, fresh: usize) -> Vec<Query> {
@@ -88,18 +95,24 @@ proptest! {
     /// Two managers — one memoized, one planning fresh — driven through
     /// the same randomized arrival sequence (repeats, bursts, ties and
     /// long idle gaps included, with interleaved quotes warming the memo)
-    /// must report identical outcomes, balances and regret totals, while
-    /// the cache epoch stays monotone.
+    /// under the same selection objective must report identical
+    /// outcomes, balances and regret totals, while the cache epoch stays
+    /// monotone.
     #[test]
     fn memoized_and_fresh_managers_agree(
         seed in 0u64..1_000,
+        objective in 0usize..OBJECTIVES.len(),
         picks in prop::collection::vec((0usize..24, 0u8..6), 40..160),
     ) {
         let harness = Harness::new();
         let ctx = harness.ctx();
         let pool = query_pool(&harness, seed, 24);
-        let mut memo = EconomyManager::new(biting_config(true));
-        let mut fresh = EconomyManager::new(biting_config(false));
+        let config = |plan_cache| EconConfig {
+            objective: OBJECTIVES[objective],
+            ..biting_config(plan_cache)
+        };
+        let mut memo = EconomyManager::new(config(true));
+        let mut fresh = EconomyManager::new(config(false));
 
         let mut now = SimTime::ZERO;
         let mut last_epoch = 0u64;

@@ -10,6 +10,8 @@
 //! 2. **Pure observation** (integration): a traced fleet run is
 //!    bit-identical to the no-op-sink run, and its event stream and
 //!    registry are themselves invariant under the executor shard count.
+//!    A run with vitals snapshots on is, apart from its health series,
+//!    bit-identical to the snapshots-off run at any shard count.
 //! 3. **Snapshot/merge commutation** (property-based): serializing a
 //!    registry to its JSON snapshot and back is transparent to `merge`
 //!    — scraping shard partials and folding the snapshots equals
@@ -256,5 +258,21 @@ fn trace_is_invariant_under_shard_count() {
         assert_eq!(result, reference_result, "shards = {shards}");
         assert_eq!(trace.registry, reference.registry, "shards = {shards}");
         assert_eq!(trace.events, reference.events, "shards = {shards}");
+    }
+}
+
+/// The health plane observes without perturbing: with the vitals
+/// scraper on, the run minus its health series equals the snapshots-off
+/// run field for field, at one shard and at four.
+#[test]
+fn health_snapshots_leave_the_run_bit_identical() {
+    let off = FleetSim::new(traced_config(1)).run();
+    assert!(off.health.is_none());
+    let interval_secs = off.horizon_secs / 8.0;
+    for shards in [1usize, 4] {
+        let mut on = FleetSim::new(traced_config(shards).with_health(interval_secs)).run();
+        let series = on.health.take().expect("health-enabled run has a series");
+        assert!(!series.frames.is_empty(), "shards = {shards}");
+        assert_eq!(on, off, "shards = {shards}");
     }
 }
