@@ -16,7 +16,7 @@ use bench::{
 use econ::RegretAttribution;
 use simulator::{Scheme, SimConfig};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let (sf, n) = cli_scale();
     print_header(
         "Ablation 5 (regret attribution)",
@@ -72,5 +72,5 @@ fn main() {
         n,
         &bench_config_json(sf, n, n * variants.len() as u64, wall),
         set.json_rows(),
-    );
+    )
 }

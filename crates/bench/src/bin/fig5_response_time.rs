@@ -11,7 +11,7 @@ use bench::{
     write_csv, write_figure_bench_json,
 };
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let (sf, n) = cli_scale();
     print_header(
         "Figure 5",
@@ -77,5 +77,5 @@ fn main() {
         n,
         &bench_config_json(sf, n, total, wall),
         &cells,
-    );
+    )
 }

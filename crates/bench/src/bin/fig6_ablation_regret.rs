@@ -13,7 +13,7 @@ use bench::{
 };
 use simulator::{Scheme, SimConfig};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let (sf, n) = cli_scale();
     print_header(
         "Ablation 1 (regret threshold a, eq. 3)",
@@ -61,5 +61,5 @@ fn main() {
         n,
         &bench_config_json(sf, n, n * fractions.len() as u64, wall),
         set.json_rows(),
-    );
+    )
 }

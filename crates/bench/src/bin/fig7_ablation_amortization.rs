@@ -15,7 +15,7 @@ use bench::{
 use econ::AmortizationPolicy;
 use simulator::{Scheme, SimConfig};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let (sf, n) = cli_scale();
     print_header(
         "Ablation 2 (amortisation horizon n, eq. 7)",
@@ -78,5 +78,5 @@ fn main() {
         n,
         &bench_config_json(sf, n, n * policies.len() as u64, wall),
         set.json_rows(),
-    );
+    )
 }

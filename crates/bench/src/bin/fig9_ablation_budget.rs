@@ -14,7 +14,7 @@ use bench::{
 use econ::BudgetShape;
 use simulator::{Scheme, SimConfig};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let (sf, n) = cli_scale();
     print_header(
         "Ablation 4 (budget shape, Fig. 1)",
@@ -66,5 +66,5 @@ fn main() {
         n,
         &bench_config_json(sf, n, n * shapes.len() as u64, wall),
         set.json_rows(),
-    );
+    )
 }

@@ -18,17 +18,21 @@
 //! sized so the run finishes in about a minute), prints the paper-style
 //! table, and drops a CSV under `results/`.
 //!
-//! Beside the figures, three binaries check the fleet extensions:
+//! Beside the figures, three binaries cover the fleet extensions:
 //!
-//! | target | checks |
+//! | target | writes |
 //! |--------|--------|
-//! | `fleet_elastic` | elastic vs static fleets; shard and tracing invariance |
-//! | `fleet_faults` | the fault plane; shard/tracing invariance, exact ledger replay |
-//! | `explain` | trace replay queries; `selfcheck` and `health` bit-identity gates |
+//! | `fleet_elastic` | `BENCH_fleet_elastic.json`: elastic vs static fleets |
+//! | `fleet_faults` | `BENCH_fleet_faults.json`: the fault-plane grid |
+//! | `explain` | a reference trace (`record`), and answers queries on it |
 //!
+//! The fleet bins only write records. The fleets they run are defined in
+//! [`fleet_grid`], which the tests share: the invariants (shard and
+//! tracing invariance, exact ledger replay, cross-footing rollups) and
+//! the fault grid's orderings on live runs are held by the root test
+//! suite, and the committed records by this crate's `tests/*_record.rs`.
 //! Throughput is measured by the repo benchmark (`perfbench/`, declared
-//! in `BENCHMARK.json`), not here. Criterion micro-benches live in
-//! `benches/`.
+//! in `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 
@@ -37,9 +41,11 @@ use std::io::Write;
 use std::path::Path;
 
 pub mod cli;
+pub mod fleet_grid;
 pub mod row;
 
 pub use cli::{cli_arg, cli_max_args, cli_scale, cli_usage_error, scale_args};
+pub use fleet_grid::{recording_config, GridScale};
 pub use row::{Row, RowSet};
 
 /// The paper's inter-arrival grid (seconds), Figures 4 and 5.
@@ -165,29 +171,44 @@ pub fn is_paper_cell(sf: f64, n: u64) -> bool {
 /// [`write_bench_json`] guarded by the figure harness's default-cell
 /// rule: reduced-scale runs (CI, smoke tests) must not clobber the
 /// committed paper-scale record.
-pub fn write_figure_bench_json(name: &str, sf: f64, n: u64, config: &str, cells: &[String]) {
+///
+/// # Errors
+/// Returns [`write_bench_json`]'s error.
+pub fn write_figure_bench_json(
+    name: &str,
+    sf: f64,
+    n: u64,
+    config: &str,
+    cells: &[String],
+) -> std::io::Result<()> {
     if is_paper_cell(sf, n) {
-        write_bench_json(name, config, cells);
+        write_bench_json(name, config, cells)
     } else {
         println!("(non-default cell: BENCH_{name}.json left untouched)");
+        Ok(())
     }
 }
 
 /// Writes `BENCH_<name>.json` in the working directory (the repo root
 /// when run via `cargo run`), the machine-readable record of a bench's
-/// default cell. `config` is a JSON object string
-/// (including the measured wall-clock, so a record is never mistaken for
-/// one at a different scale); `cells` are JSON object strings.
-pub fn write_bench_json(name: &str, config: &str, cells: &[String]) {
+/// default cell. `config` is a JSON object string (including the scale,
+/// so a record is never mistaken for one at a different scale); `cells`
+/// are JSON object strings.
+///
+/// # Errors
+/// Returns the I/O error, naming the record, when it cannot be written:
+/// for the bins whose only job is the record, a failed write must fail
+/// the run.
+pub fn write_bench_json(name: &str, config: &str, cells: &[String]) -> std::io::Result<()> {
     let json = format!(
         "{{\n\"bench\": \"{name}\",\n\"config\": {config},\n\"cells\": [\n{}\n]\n}}\n",
         cells.join(",\n")
     );
     let path = format!("BENCH_{name}.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("(wrote {path})"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
+    std::fs::write(&path, json)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("cannot write {path}: {e}")))?;
+    println!("(wrote {path})");
+    Ok(())
 }
 
 /// The standard figure-bench JSON config object: grid scale plus the
@@ -199,49 +220,6 @@ pub fn bench_config_json(sf: f64, n: u64, total_queries: u64, wall_secs: f64) ->
         "{{\"scale_factor\": {sf}, \"queries_per_cell\": {n}, \"total_queries\": {total_queries}, \
          \"wall_secs\": {wall_secs:.3}, \"queries_per_sec\": {:.0}}}",
         total_queries as f64 / wall_secs.max(1e-9)
-    )
-}
-
-/// The aggregate fingerprint the fleet invariance checks compare
-/// bit-for-bit: every economic aggregate plus the serialized elastic
-/// decision ledger (empty for fixed-population fleets) and the
-/// serialized fault record stream (empty for fault-free fleets).
-/// Shared by `fleet_elastic`'s shard replay check, its
-/// traced-vs-noop bit-identity check, `fleet_faults`' fault-replay
-/// check and `explain selfcheck` — one definition, so the gates cannot
-/// quietly diverge on what "identical" means.
-///
-/// # Panics
-/// Panics if the elastic ledger or fault summary fails to serialize
-/// (they always serialize — the types derive `Serialize`
-/// unconditionally).
-#[must_use]
-pub fn fleet_fingerprint(r: &fleet::FleetResult) -> String {
-    let ledger = r
-        .elastic
-        .as_ref()
-        .map(|e| serde_json::to_string(&e.ledger).expect("ledger serializes"))
-        .unwrap_or_default();
-    let faults = r
-        .faults
-        .as_ref()
-        .map(|f| serde_json::to_string(f).expect("fault summary serializes"))
-        .unwrap_or_default();
-    format!(
-        "queries={} cost={:?} payments={:?} profit={:?} mean_bits={:016x} hits={} builds={} \
-         evictions={} spawns={} retires={} node_seconds_bits={:016x} ledger={ledger} \
-         faults={faults}",
-        r.queries,
-        r.total_operating_cost(),
-        r.payments,
-        r.profit,
-        r.mean_response_secs().to_bits(),
-        r.cache_hits,
-        r.investments,
-        r.evictions,
-        r.elastic.as_ref().map_or(0, |e| e.spawns),
-        r.elastic.as_ref().map_or(0, |e| e.retires),
-        r.elastic.as_ref().map_or(0.0, |e| e.node_seconds).to_bits(),
     )
 }
 
@@ -263,4 +241,18 @@ pub fn grid_json_rows<F: Fn(&RunResult) -> String>(
         }
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn an_unwritable_record_is_an_error() {
+        // The directory `BENCH_no-such-dir/` does not exist.
+        let err = super::write_bench_json("no-such-dir/record", "{}", &[]).unwrap_err();
+        let message = err.to_string();
+        assert!(
+            message.starts_with("cannot write BENCH_no-such-dir/record.json"),
+            "{message}"
+        );
+    }
 }

@@ -17,7 +17,8 @@
 //! 5. the drift-alarm fixture discriminates: fault-free cells raise no
 //!    alarm and the 6x degraded elastic cell raises at least one.
 //!
-//! `fleet_faults` gates the same claims live when it writes the record.
+//! `tests/fleet_faults.rs` holds claims 1–4 on live runs of the same
+//! grid at reduced scale.
 
 use serde::Value;
 

@@ -187,8 +187,8 @@ pub struct FleetResult {
     #[serde(default)]
     pub slo: SloLedger,
     /// Cadenced vitals snapshots; `None` when the run had no health
-    /// config. Excluded from `bench::fleet_fingerprint`, which is what
-    /// lets snapshot-on and snapshot-off runs compare bit-identical.
+    /// config. Set it aside and a snapshot-on run compares bit-identical
+    /// to the snapshot-off run.
     #[serde(default)]
     pub health: Option<HealthSeries>,
 }

@@ -2,9 +2,9 @@
 //! the sharded executor:
 //!
 //! 1. same seed ⇒ identical `FleetResult` (pure function of the config);
-//! 2. fleet aggregates are invariant under the shard (worker-thread)
-//!    count: 1 worker and 4 workers produce bit-identical cost and mean
-//!    response time;
+//! 2. the whole `FleetResult` is invariant under the shard
+//!    (worker-thread) count: 1 worker and 4 workers produce bit-identical
+//!    cost, mean response time and tenant and node rollups;
 //! 3. a cheapest-quote round that prices each distinct cold node state
 //!    once picks the winner and bid of an exhaustive scan that quotes
 //!    every routable node.
@@ -15,7 +15,7 @@ use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{BudgetShape, EconConfig, InvestmentRule};
 use cloudcache::fleet::{
-    run_fleet, CacheNode, CheapestQuote, FleetConfig, FleetResult, NodeSpec, Router, RouterKind,
+    run_fleet, CacheNode, CheapestQuote, FleetConfig, NodeSpec, Router, RouterKind,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -90,61 +90,12 @@ fn config(router: RouterKind, shards: usize, seed: u64) -> FleetConfig {
     config
 }
 
-/// Every measurement that must match between two runs, f64s compared by
-/// bit pattern.
-fn fingerprint(r: &FleetResult) -> Vec<(String, String)> {
-    let mut parts = vec![
-        ("router".to_string(), r.router.clone()),
-        ("queries".to_string(), r.queries.to_string()),
-        ("horizon".to_string(), r.horizon_secs.to_bits().to_string()),
-        (
-            "cost".to_string(),
-            r.total_operating_cost().as_nanos().to_string(),
-        ),
-        (
-            "mean".to_string(),
-            r.mean_response_secs().to_bits().to_string(),
-        ),
-        ("payments".to_string(), r.payments.as_nanos().to_string()),
-        ("profit".to_string(), r.profit.as_nanos().to_string()),
-        ("hits".to_string(), r.cache_hits.to_string()),
-        ("builds".to_string(), r.investments.to_string()),
-        ("evictions".to_string(), r.evictions.to_string()),
-    ];
-    for t in &r.tenants {
-        parts.push((
-            format!("tenant{}", t.tenant.0),
-            format!(
-                "{}|{}|{}|{}",
-                t.queries,
-                t.response.mean().to_bits(),
-                t.payments.as_nanos(),
-                t.cache_hits
-            ),
-        ));
-    }
-    for n in &r.nodes {
-        parts.push((
-            format!("node{}", n.node),
-            format!(
-                "{}|{}|{}|{}|{}",
-                n.queries,
-                n.response.mean().to_bits(),
-                n.total_operating_cost().as_nanos(),
-                n.profit.as_nanos(),
-                n.investments
-            ),
-        ));
-    }
-    parts
-}
-
 #[test]
 fn same_seed_produces_identical_fleet_results() {
     for router in RouterKind::all() {
         let a = run_fleet(config(router, 1, 42));
         let b = run_fleet(config(router, 1, 42));
-        assert_eq!(fingerprint(&a), fingerprint(&b), "router {}", a.router);
+        assert_eq!(a, b, "router {}", a.router);
     }
 }
 
@@ -181,9 +132,8 @@ fn aggregates_invariant_under_shard_count() {
         );
         // And everything else too.
         assert_eq!(
-            fingerprint(&sequential),
-            fingerprint(&parallel),
-            "full fingerprint varied with shard count under {}",
+            sequential, parallel,
+            "result varied with shard count under {}",
             sequential.router
         );
     }
@@ -194,7 +144,7 @@ fn oversubscribed_shards_are_harmless() {
     // More workers than cells clamps to the cell count.
     let few = run_fleet(config(RouterKind::LeastOutstanding, 2, 9));
     let many = run_fleet(config(RouterKind::LeastOutstanding, 64, 9));
-    assert_eq!(fingerprint(&few), fingerprint(&many));
+    assert_eq!(few, many);
 }
 
 /// The exhaustive reference: every routable node quotes through

@@ -9,9 +9,10 @@
 //!    disk byte-seconds integral to the exact retirement instant:
 //!    delaying retirement by Δ charges precisely
 //!    `disk_used × Δ × c_d` more (and Δ seconds more base uptime).
-//! 3. **Determinism** — an elastic run's decision ledger and aggregates
-//!    are bit-identical across executor shard counts; a controller that
-//!    can never act leaves the economy bit-identical to the static fleet.
+//! 3. **Determinism** — an elastic run's whole result, decision ledger
+//!    included, is bit-identical across executor shard counts and with
+//!    the flight recorder attached; a controller that can never act
+//!    leaves the economy bit-identical to the static fleet.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,8 +20,8 @@ use cloudcache::catalog::tpch::{tpch_schema, ScaleFactor};
 use cloudcache::catalog::Schema;
 use cloudcache::econ::{EconConfig, InvestmentRule};
 use cloudcache::fleet::{
-    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetResult, LeastOutstanding,
-    NodePopulation, NodeSpec, RoundRobin, Router, RouterKind,
+    run_fleet, CacheNode, CheapestQuote, ElasticConfig, FleetConfig, FleetSim, LeastOutstanding,
+    NodePopulation, NodeSpec, RoundRobin, Router, RouterKind, TenantSloSpec,
 };
 use cloudcache::planner::{
     generate_candidates, CandidateIndex, CostParams, Estimator, PlannerContext,
@@ -223,45 +224,53 @@ fn elastic_base(seed: u64) -> FleetConfig {
     config
 }
 
-/// Everything an elastic run must reproduce exactly, ledger included.
-fn elastic_fingerprint(r: &FleetResult) -> String {
-    let e = r.elastic.as_ref().expect("elastic summary present");
-    format!(
-        "queries={} cost={} payments={} mean={:016x} builds={} spawns={} retires={} \
-         node_seconds={:016x} ledger={}",
-        r.queries,
-        r.total_operating_cost().as_nanos(),
-        r.payments.as_nanos(),
-        r.mean_response_secs().to_bits(),
-        r.investments,
-        e.spawns,
-        e.retires,
-        e.node_seconds.to_bits(),
-        serde_json::to_string(&e.ledger).expect("ledger serializes"),
-    )
-}
-
+/// An elastic run's decision ledger and every aggregate — tenant and
+/// node rollups, SLO ledger and vitals frames included — are a pure
+/// function of the config: bit-identical at 4 and 2 executor shards and
+/// with the flight recorder attached, on storm/calm and diurnal
+/// arrivals, with the health plane and SLO specs riding along.
 #[test]
 fn elastic_ledger_and_aggregates_invariant_under_shards() {
-    for seed in [3u64, 11] {
-        let reference = run_fleet(elastic_base(seed));
+    let diurnal = ArrivalKind::Diurnal {
+        mean_gap_secs: 4.0,
+        amplitude: 0.9,
+        period_secs: 80.0,
+        phase: -std::f64::consts::FRAC_PI_2,
+    };
+    let cases = [
+        elastic_base(3),
+        elastic_base(11),
+        elastic_base(3).with_arrivals(diurnal),
+    ];
+    for base in cases {
+        let base = base.with_health(10.0).with_slo(TenantSloSpec {
+            p99_target_secs: 5.0,
+            spend_cap: Some(Money::from_dollars(0.05)),
+        });
+        let reference = run_fleet(base.clone());
         let summary = reference.elastic.as_ref().expect("elastic summary");
         assert!(
             summary.spawns + summary.retires > 0,
-            "fixture must exercise the control plane (seed {seed})"
+            "fixture must exercise the control plane ({:?})",
+            base.tenants[0].arrival
         );
         assert!(!summary.ledger.is_empty());
-        let reference = elastic_fingerprint(&reference);
-
         for shards in [4, 2] {
-            let mut config = elastic_base(seed);
+            let mut config = base.clone();
             config.shards = shards;
-            let replay = elastic_fingerprint(&run_fleet(config));
             assert_eq!(
-                replay, reference,
-                "drift under shards={shards} (seed {seed})"
+                run_fleet(config),
+                reference,
+                "drift under shards={shards} (seed {})",
+                base.seed
             );
         }
+        let (traced, _) = FleetSim::new(base.clone()).run_traced();
+        assert_eq!(
+            traced, reference,
+            "drift under tracing (seed {})",
+            base.seed
+        );
     }
 }
 

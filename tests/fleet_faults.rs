@@ -12,7 +12,13 @@
 //! 4. **Population floor** — a crashed node is gone *immediately*: the
 //!    elastic control plane's population-floor rule respawns at the next
 //!    review, never waiting out a drain grace the dead node can't serve.
+//! 5. **The `fleet_faults` grid's orderings** — on a reduced-scale run
+//!    of the fleets `BENCH_fleet_faults.json` records, the elastic fleet
+//!    beats the static one through a crash, and evacuation beats the
+//!    pure write-off of the identical cascade.
 
+use bench::fleet_grid::faults;
+use bench::GridScale;
 use cloudcache::fleet::{
     run_fleet, CacheNode, ElasticAction, ElasticConfig, FaultOutcome, FaultPlan, FleetConfig,
     FleetResult, FleetSim, NodePopulation, NodeSpec, RouterKind,
@@ -37,21 +43,6 @@ fn faulted_base(seed: u64) -> FleetConfig {
 }
 
 const HORIZON: f64 = 40.0;
-
-/// Everything a faulted run must reproduce exactly, fault ledger
-/// included.
-fn fault_fingerprint(r: &FleetResult) -> String {
-    format!(
-        "queries={} cost={} payments={} mean={:016x} builds={} node_seconds={:016x} faults={}",
-        r.queries,
-        r.total_operating_cost().as_nanos(),
-        r.payments.as_nanos(),
-        r.mean_response_secs().to_bits(),
-        r.investments,
-        r.node_seconds.to_bits(),
-        serde_json::to_string(&r.faults).expect("fault summary serializes"),
-    )
-}
 
 proptest! {
     /// Whatever router serves the fleet, a crashed node never wins
@@ -112,12 +103,11 @@ proptest! {
             plan = plan.with_surge(8.0, 10.0, 4.0);
         }
         let base = faulted_base(seed).with_faults(plan);
-        let reference = fault_fingerprint(&run_fleet(base.clone()));
+        let reference = run_fleet(base.clone());
         for shards in [2usize, 4, 8] {
             let mut config = base.clone();
             config.shards = shards;
-            let replay = fault_fingerprint(&run_fleet(config));
-            prop_assert_eq!(&replay, &reference, "drift at shards={}", shards);
+            prop_assert_eq!(&run_fleet(config), &reference, "drift at shards={}", shards);
         }
     }
 
@@ -344,7 +334,7 @@ fn traced_faulted_run_matches_untraced_and_registry_crossfoots() {
     );
     let untraced = run_fleet(config.clone());
     let (traced, trace) = FleetSim::new(config).run_traced();
-    assert_eq!(fault_fingerprint(&traced), fault_fingerprint(&untraced));
+    assert_eq!(traced, untraced);
 
     let faults = traced.faults.as_ref().expect("fault summary");
     assert_eq!(trace.registry.counter("fault.crashes"), faults.crashes);
@@ -426,9 +416,7 @@ fn cascade_draws_derive_only_from_the_config_seed() {
                 .with_cascade(p, 0.5, 3.0, 3),
         )
     };
-    let a = run_fleet(plan(0.7));
-    let b = run_fleet(plan(0.7));
-    assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b));
+    assert_eq!(run_fleet(plan(0.7)), run_fleet(plan(0.7)));
     let never = run_fleet(plan(0.0));
     let nf = never.faults.as_ref().expect("fault summary");
     assert_eq!(nf.cascade_crashes, 0);
@@ -540,12 +528,16 @@ fn faulted_mmpp_and_diurnal_runs_are_bit_identical_across_shards() {
                 .with_degrade(2, 5.0, 30.0, 10.0)
                 .with_timeout(0.05),
         );
-        let reference = fault_fingerprint(&run_fleet(base.clone()));
+        let reference = run_fleet(base.clone());
+        assert_eq!(reference.queries, 8 * 40, "survivors absorb the load");
         for shards in [2, 4, 8] {
             let mut config = base.clone();
             config.shards = shards;
-            let replay = fault_fingerprint(&run_fleet(config));
-            assert_eq!(replay, reference, "drift at shards={shards} ({arrival:?})");
+            assert_eq!(
+                run_fleet(config),
+                reference,
+                "drift at shards={shards} ({arrival:?})"
+            );
         }
     }
 }
@@ -566,7 +558,7 @@ fn traced_cascade_evacuate_retry_run_matches_untraced_and_crossfoots() {
     );
     let untraced = run_fleet(config.clone());
     let (traced, trace) = FleetSim::new(config).run_traced();
-    assert_eq!(fault_fingerprint(&traced), fault_fingerprint(&untraced));
+    assert_eq!(traced, untraced);
 
     let faults = traced.faults.as_ref().expect("fault summary");
     assert!(faults.evacuations > 0, "warning window must trigger moves");
@@ -595,4 +587,114 @@ fn traced_cascade_evacuate_retry_run_matches_untraced_and_crossfoots() {
         .filter(|e| matches!(e, TraceEvent::NodeEvacuate(_)))
         .count() as u64;
     assert_eq!(evacuate_events, faults.evacuations);
+}
+
+/// The reduced scale the `fleet_faults` grid is checked at: SF 10, 32
+/// tenants x 40 queries, 8 seed nodes per cell.
+const GRID: GridScale = GridScale {
+    scale_factor: 10.0,
+    queries_per_tenant: 40,
+    tenants: 32,
+    nodes: 8,
+};
+
+/// One cell of the `fleet_faults` grid at [`GRID`] scale. Faults delay
+/// and re-route work, they never lose it: every cell serves the full
+/// query budget.
+fn grid_run(scenario: &str, elastic: bool) -> FleetResult {
+    let result = run_fleet(faults::config(GRID, scenario, elastic));
+    assert_eq!(result.queries, GRID.total_queries(), "{scenario}");
+    result
+}
+
+/// Population-floor respawns in an elastic run's decision ledger.
+fn floor_respawns(result: &FleetResult) -> usize {
+    let ledger = &result.elastic.as_ref().expect("elastic summary").ledger;
+    ledger
+        .iter()
+        .filter(|l| matches!(l.action, ElasticAction::ScaleUp { .. }))
+        .filter(|l| l.rule == "population-floor")
+        .count()
+}
+
+/// The crash orderings `BENCH_fleet_faults.json` claims, on live runs:
+/// the elastic fleet drains idle capacity *and* respawns toward its floor
+/// after the crash, yet costs less than the static fleet running its
+/// surviving population; every planned recovery replays exactly.
+#[test]
+fn fault_grid_elastic_fleet_survives_a_crash_cheaper_than_static() {
+    let static_run = grid_run("crash", false);
+    let elastic = grid_run("crash", true);
+    assert!(
+        elastic.total_operating_cost() < static_run.total_operating_cost(),
+        "elastic-with-respawn {} must beat static-with-crash {}",
+        elastic.total_operating_cost(),
+        static_run.total_operating_cost()
+    );
+    let recovered = grid_run("crash-recover", true);
+    for result in [&elastic, &recovered] {
+        assert!(floor_respawns(result) > 0, "the floor rule must respawn");
+    }
+    for result in [&recovered, &grid_run("crash-recover", false)] {
+        let f = result.faults.as_ref().expect("fault summary");
+        assert!(f.recoveries > 0);
+        assert_eq!(f.recoveries, f.crashes, "every crash recovers");
+        assert_eq!(f.reconciled, f.recoveries, "every replay reconciles");
+    }
+}
+
+/// The cascade orderings `BENCH_fleet_faults.json` claims, on live runs:
+/// against the identical cascade, the warning-window evacuation salvages
+/// real capital, its ledgered loss *including the full eq. 12 wire bill*
+/// stays below the pure write-off, and it wins on loss-adjusted total
+/// cost (operating + builds + capital destroyed). Both mechanisms of the
+/// pair fire: follow-on crashes in the static fleets (the elastic floor
+/// of 2 leaves no survivors to infect) and budgeted retries in the lean
+/// elastic fleets.
+#[test]
+fn fault_grid_evacuation_beats_the_pure_write_off() {
+    let cascade = grid_run("cascade", true);
+    let evacuated = grid_run("cascade-evacuate", true);
+    let cf = cascade.faults.as_ref().expect("fault summary");
+    let ef = evacuated.faults.as_ref().expect("fault summary");
+    assert!(ef.salvaged.is_positive() && ef.evacuations > 0);
+    assert!(
+        ef.write_off + ef.transfer_spend < cf.write_off,
+        "evacuation loss {} + {} transfers must beat the pure write-off {}",
+        ef.write_off,
+        ef.transfer_spend,
+        cf.write_off
+    );
+    let loss_adjusted = |r: &FleetResult, write_off: Money| r.total_operating_cost() + write_off;
+    assert!(loss_adjusted(&evacuated, ef.write_off) < loss_adjusted(&cascade, cf.write_off));
+    for (scenario, elastic) in [("cascade", &cascade), ("cascade-evacuate", &evacuated)] {
+        let static_run = grid_run(scenario, false);
+        let fs = static_run.faults.as_ref().expect("fault summary");
+        assert!(fs.cascade_crashes > 0, "{scenario}/static never cascaded");
+        let fe = elastic.faults.as_ref().expect("fault summary");
+        assert!(fe.retries > 0, "{scenario}/elastic never retried");
+    }
+}
+
+/// Every fleet of the grid serves its full query budget, and every
+/// elastic one — control plane, health plane and SLO specs attached — is
+/// one `FleetResult`, whole, at one, two and four shards, traced or not.
+#[test]
+fn fault_grid_runs_are_invariant_under_shards_and_tracing() {
+    for scenario in faults::SCENARIOS {
+        grid_run(scenario, false);
+        let reference = grid_run(scenario, true);
+        let config = faults::config(GRID, scenario, true);
+        for shards in [4, 2] {
+            let mut sharded = config.clone();
+            sharded.shards = shards;
+            assert_eq!(
+                run_fleet(sharded),
+                reference,
+                "{scenario} at {shards} shards"
+            );
+        }
+        let (traced, _) = FleetSim::new(config).run_traced();
+        assert_eq!(traced, reference, "{scenario} traced");
+    }
 }

@@ -11,7 +11,8 @@
 //!    bit-identical to the no-op-sink run, and its event stream and
 //!    registry are themselves invariant under the executor shard count.
 //!    A run with vitals snapshots on is, apart from its health series,
-//!    bit-identical to the snapshots-off run at any shard count.
+//!    bit-identical to the snapshots-off run at any shard count, and SLO
+//!    specs change nothing but the ledger fields that read them.
 //! 3. **Snapshot/merge commutation** (property-based): serializing a
 //!    registry to its JSON snapshot and back is transparent to `merge`
 //!    — scraping shard partials and folding the snapshots equals
@@ -19,10 +20,19 @@
 //! 4. **SLO ledger algebra** (property-based): [`SloLedger::merge`] is
 //!    associative and shard-count invariant, so per-tenant SLO records
 //!    folded from any cell partitioning produce the same ledger.
+//! 5. **Answerable, cross-footing reference trace** (integration): on
+//!    the fleet `explain record` traces ([`recording_config`]), every
+//!    `explain` query has an answer, the blame rollups and the SLO ledger
+//!    cross-foot with the run's own aggregates, the vitals frames land on
+//!    the cadence grid and the OpenMetrics render is well-formed.
 
+use bench::recording_config;
 use cloudcache::fleet::{FleetConfig, FleetSim, RouterKind};
 use cloudcache::pricing::Money;
-use cloudcache::telemetry::{MetricsRegistry, SloLedger, TenantSloRecord, TenantSloSpec};
+use cloudcache::telemetry::{
+    blame, explain_crash, explain_retirement, render_openmetrics, structure_payers, BlameKey,
+    LifecyclePhase, MetricsRegistry, SloLedger, TenantSloRecord, TenantSloSpec, TraceEvent,
+};
 use proptest::prelude::*;
 
 /// Fixed name pools, one per metric kind — a name must keep one kind for
@@ -231,20 +241,23 @@ fn traced_config(shards: usize) -> FleetConfig {
 }
 
 /// The flight recorder observes without perturbing: the traced run's
-/// `FleetResult` matches the no-op-sink run field for field.
+/// `FleetResult` matches the no-op-sink run field for field, on a mixed
+/// fleet and on the `explain` reference fleet (elastic control, a
+/// crash-and-recover, the health plane and SLO specs), and the registry
+/// agrees with the result it observed.
 #[test]
 fn traced_run_is_bit_identical_to_untraced() {
-    let untraced = FleetSim::new(traced_config(1)).run();
-    let (traced, trace) = FleetSim::new(traced_config(1)).run_traced();
-    assert_eq!(traced, untraced);
-    assert!(!trace.events.is_empty(), "recorder captured the run");
-    assert_eq!(
-        trace.registry.counter("fleet.queries"),
-        untraced.queries,
-        "registry agrees with the result it observed"
-    );
-    assert_eq!(trace.registry.gauge("fleet.payments"), untraced.payments);
-    assert_eq!(trace.registry.gauge("fleet.profit"), untraced.profit);
+    for config in [traced_config(1), recording_config()] {
+        let untraced = FleetSim::new(config.clone()).run();
+        let (traced, trace) = FleetSim::new(config).run_traced();
+        assert_eq!(traced, untraced);
+        assert!(!trace.events.is_empty(), "recorder captured the run");
+        let registry = &trace.registry;
+        assert_eq!(registry.counter("fleet.queries"), untraced.queries);
+        assert_eq!(registry.gauge("fleet.payments"), untraced.payments);
+        assert_eq!(registry.gauge("fleet.profit"), untraced.profit);
+        assert_eq!(registry.counter("fleet.cache_hits"), untraced.cache_hits);
+    }
 }
 
 /// The event stream and registry are pure functions of the config: the
@@ -263,7 +276,10 @@ fn trace_is_invariant_under_shard_count() {
 
 /// The health plane observes without perturbing: with the vitals
 /// scraper on, the run minus its health series equals the snapshots-off
-/// run field for field, at one shard and at four.
+/// run field for field, at one shard and at four. SLO specs only mark
+/// targets: the reference fleet with specs and vitals on equals the run
+/// with neither, once the health series and the ledger fields that read
+/// a spec (the spec itself and the deadline-miss count) are set aside.
 #[test]
 fn health_snapshots_leave_the_run_bit_identical() {
     let off = FleetSim::new(traced_config(1)).run();
@@ -275,4 +291,120 @@ fn health_snapshots_leave_the_run_bit_identical() {
         assert!(!series.frames.is_empty(), "shards = {shards}");
         assert_eq!(on, off, "shards = {shards}");
     }
+
+    let mut on = FleetSim::new(recording_config()).run();
+    let mut off_config = recording_config();
+    off_config.health = None;
+    for tenant in &mut off_config.tenants {
+        tenant.slo = None;
+    }
+    let off = FleetSim::new(off_config).run();
+    assert!(on.health.take().is_some());
+    assert!(on.slo.tenants.iter().any(|r| r.deadline_misses > 0));
+    for record in &mut on.slo.tenants {
+        record.slo = None;
+        record.deadline_misses = 0;
+    }
+    assert_eq!(on, off);
+}
+
+/// The first event of the reference trace `pick` answers for.
+fn first<T>(events: &[TraceEvent], pick: impl Fn(&TraceEvent) -> Option<T>) -> T {
+    events
+        .iter()
+        .find_map(pick)
+        .expect("reference trace has material")
+}
+
+/// Every question `explain` answers has an answer on the reference
+/// trace — a retirement, a crash and a structure's payers — and the
+/// blame rollups neither lose nor double-count a settlement, a dollar of
+/// spend or a dollar of written-off capital.
+#[test]
+fn reference_trace_answers_every_explain_query() {
+    let (run, trace) = FleetSim::new(recording_config()).run_traced();
+    let events = &trace.events;
+    let retired = first(events, |e| match e {
+        TraceEvent::NodeLifecycle(l) if l.phase == LifecyclePhase::Retire => l.node,
+        _ => None,
+    });
+    assert!(explain_retirement(events, retired).is_some());
+    let crashed = first(events, |e| match e {
+        TraceEvent::NodeCrash(c) => Some(c.node),
+        _ => None,
+    });
+    assert!(explain_crash(events, crashed).is_some());
+    let structure = first(events, |e| match e {
+        TraceEvent::Settlement(s) => s.used_structures.first().cloned(),
+        _ => None,
+    });
+    assert!(!structure_payers(events, &structure).is_empty());
+
+    // One blame row per tenant, each equal to the tenant's own books.
+    let by_tenant = blame(events, BlameKey::Tenant);
+    assert_eq!(by_tenant.len(), run.tenants.len());
+    for stats in &run.tenants {
+        let name = format!("tenant#{}", stats.tenant.0);
+        let (_, row) = by_tenant.iter().find(|(n, _)| *n == name).expect(&name);
+        assert_eq!((row.queries, row.payments), (stats.queries, stats.payments));
+    }
+    let by_node = blame(events, BlameKey::Node);
+    let node_queries: u64 = by_node.iter().map(|(_, r)| r.queries).sum();
+    assert_eq!(node_queries, run.queries);
+    let registry = &trace.registry;
+    let exec: Money = blame(events, BlameKey::Resource)
+        .iter()
+        .map(|(_, r)| r.exec.total())
+        .sum();
+    let exec_gauges: Money = ["cpu", "disk", "network", "io"]
+        .iter()
+        .map(|r| registry.gauge(&format!("fleet.exec.{r}")))
+        .sum();
+    assert_eq!(exec, exec_gauges);
+    let write_off: Money = by_node.iter().map(|(_, r)| r.write_off).sum();
+    assert_eq!(write_off, registry.gauge("fault.write_off"));
+    let faults = run.faults.as_ref().expect("faulted reference fleet");
+    assert!(faults.recoveries > 0);
+    assert_eq!(faults.reconciled, faults.recoveries);
+}
+
+/// The health plane's outputs cross-foot with the run they watch: the
+/// SLO ledger matches each tenant's own books, the vitals frames land
+/// exactly on the cadence grid, and the OpenMetrics render of the
+/// reference trace is well-formed.
+#[test]
+fn reference_run_slo_ledger_and_vitals_crossfoot() {
+    let (run, trace) = FleetSim::new(recording_config()).run_traced();
+    assert_eq!(run.slo.total_admitted(), run.queries);
+    assert_eq!(run.slo.tenants.len(), run.tenants.len());
+    for (stats, record) in run.tenants.iter().zip(&run.slo.tenants) {
+        assert_eq!(
+            (
+                record.tenant,
+                record.admitted,
+                record.spend,
+                record.cache_hits
+            ),
+            (
+                stats.tenant.0,
+                stats.queries,
+                stats.payments,
+                stats.cache_hits
+            )
+        );
+    }
+    let spend: Money = run.slo.tenants.iter().map(|r| r.spend).sum();
+    assert_eq!(spend, run.payments);
+
+    let series = run.health.as_ref().expect("health-enabled run");
+    assert!(!series.frames.is_empty());
+    for (i, frame) in series.frames.iter().enumerate() {
+        let tick = (i + 1) as f64 * series.interval_secs;
+        assert_eq!(frame.at_secs.to_bits(), tick.to_bits(), "frame {i}");
+    }
+    assert!(series.frames.last().expect("frames").queries <= run.queries);
+
+    let text = render_openmetrics(&trace.registry, Some(series));
+    assert!(text.ends_with("# EOF\n"));
+    assert!(text.contains("fleet_vitals_frames_total"));
 }
